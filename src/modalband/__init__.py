@@ -56,7 +56,6 @@ from .simulate import (
     true_band,
 )
 from .solver import (
-    AdmmState,
     FittedBand,
     MirProblem,
     admm_fit,
@@ -70,7 +69,6 @@ from .spline import (
     SplineBasis,
     continuity_matrix,
     design_matrix,
-    design_row,
     eval_spline,
     noncross_matrix,
     penalty_matrix,
@@ -79,7 +77,6 @@ from .spline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmmState",
     "BandMetrics",
     "CvResult",
     "DEFAULT_LAMBDA_GRID",
@@ -104,7 +101,6 @@ __all__ = [
     "continuity_matrix",
     "density_weights",
     "design_matrix",
-    "design_row",
     "detect_rhythms",
     "estimate_intervals_at",
     "estimate_levels_all",

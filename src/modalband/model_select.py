@@ -34,7 +34,6 @@ class BandMetrics:
     micp: float        # fraction of test points inside the band
     nmmiw: float       # mean width normalized by the test response range
     mcwc: float        # coverage-penalized width criterion (lower is better)
-    cp: float          # coverage fraction, identical to micp by definition
     aiw: float         # mean width, unnormalized
     n_used: int        # test points inside the fitted covariate domain
     n_outside: int     # test points dropped for lying outside it
@@ -85,7 +84,6 @@ def band_metrics(
         micp=micp,
         nmmiw=nmmiw,
         mcwc=mcwc_score(nmmiw, micp, alpha, eta),
-        cp=micp,
         aiw=aiw,
         n_used=int(x.size),
         n_outside=n_outside,

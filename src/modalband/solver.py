@@ -6,18 +6,22 @@ per-observation levels plus a curvature penalty,
 
     sum_i w_i J_{p_i}(y_i - (A c)_i) + lambda * c' Q c,
 
-subject to continuity (H c = 0) and the segmentwise non-crossing
-condition (G c >= 0).  Splitting with z1 = A c and z2 = G c gives ADMM
-updates in which z1 is a componentwise quantile-loss proximal step and z2
-a projection onto the nonnegative orthant.  The c-update is an
-equality-constrained least-squares problem solved through its KKT system,
-factored once and reused across iterations.
+subject to continuity at the knots up to the smoothness order and the
+segmentwise non-crossing condition (G c >= 0).  Continuity holds by
+construction: each curve is written as N theta, with N an orthonormal
+basis of the null space of :func:`continuity_matrix`, so the program has
+2r unknowns instead of 2m (46 instead of 160 for 20 C^2 cubic segments).  Splitting with z1 = A N theta and
+z2 = G N theta gives ADMM updates in which z1 is a componentwise
+quantile-loss proximal step and z2 a projection onto the nonnegative
+orthant.  The theta-update is an unconstrained least-squares problem whose
+2r x 2r normal matrix is Cholesky-factored once and reused across
+iterations.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -35,7 +39,6 @@ from .spline import (
 
 __all__ = [
     "MirProblem",
-    "AdmmState",
     "FittedBand",
     "assemble",
     "quantile_loss",
@@ -48,12 +51,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MirProblem:
-    """Assembled block program for one band fit."""
+    """Assembled program for one band fit, kept as per-curve blocks.
+
+    Both curves share the design ``A`` (n x m), the penalty ``Q`` (m x m)
+    and the null-space basis ``N`` (m x r) of the continuity rows; the
+    non-crossing block ``G`` (m x m) acts on the coefficient difference
+    upper - lower.  ``p``, ``y`` and ``w`` stack the upper-curve rows
+    first, then the lower-curve rows.
+    """
 
     A: np.ndarray
     Q: np.ndarray
-    H: np.ndarray
     G: np.ndarray
+    N: np.ndarray
     p: np.ndarray
     y: np.ndarray
     w: np.ndarray
@@ -61,20 +71,6 @@ class MirProblem:
     gamma: float
     basis: SplineBasis
     n: int
-
-
-@dataclass
-class AdmmState:
-    """Iterate carrier: consensus variables, scaled duals, residual traces."""
-
-    c: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    iteration: int = 0
-    primal_residuals: list = field(default_factory=list)
-    dual_residuals: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -87,8 +83,6 @@ class FittedBand:
     iterations: int = 0
     primal_residual: float = np.nan
     dual_residual: float = np.nan
-    primal_history: np.ndarray | None = None
-    dual_history: np.ndarray | None = None
     noncross_violation: float = np.nan
 
     def upper_at(self, x):
@@ -112,12 +106,11 @@ def assemble(
     lam: float,
     gamma: float = 1.0,
 ) -> MirProblem:
-    """Build the block program coupling the two bound curves.
+    """Build the program coupling the two bound curves.
 
-    The design, penalty and continuity blocks are duplicated block-diagonally
-    for the upper and lower curve; the non-crossing block acts on the
-    coefficient difference.  Level order matches the stacking: upper-curve
-    levels first, then lower-curve levels.
+    Stores the single-curve design, penalty and non-crossing blocks and an
+    orthonormal basis of the continuity null space.  Level order matches
+    the stacking: upper-curve levels first, then lower-curve levels.
     """
     weights = np.asarray(weights, dtype=float)
     n = len(data)
@@ -132,21 +125,16 @@ def assemble(
     if gamma <= 0.0:
         raise ValueError(f"step size must be positive, got {gamma}")
 
-    A_single = design_matrix(data.x, basis)  # raises when x leaves the knot range
-    Q_single = penalty_matrix(basis)
-    H_single = continuity_matrix(basis)
-    G_single = noncross_matrix(basis)
-
-    A = linalg.block_diag(A_single, A_single)
-    Q = linalg.block_diag(Q_single, Q_single)
-    H = linalg.block_diag(H_single, H_single)
-    G = np.hstack([G_single, -G_single])
+    A = design_matrix(data.x, basis)  # raises when x leaves the knot range
+    Q = penalty_matrix(basis)
+    N = linalg.null_space(continuity_matrix(basis))
+    G = noncross_matrix(basis)
 
     return MirProblem(
         A=A,
         Q=Q,
-        H=H,
         G=G,
+        N=N,
         p=np.concatenate([levels.p_up, levels.p_low]),
         y=np.concatenate([data.y, data.y]),
         w=np.concatenate([weights, weights]),
@@ -173,21 +161,21 @@ def prox_quantile_loss(z, p, y, w, gamma):
     t_up = gamma * np.asarray(p) * np.asarray(w)
     t_down = gamma * (1.0 - np.asarray(p)) * np.asarray(w)
     r = np.asarray(y) - z
-    out = np.where(r >= t_up, z + t_up, np.where(r <= -t_down, z - t_down, y))
-    return float(out) if out.ndim == 0 else out
+    return np.where(r >= t_up, z + t_up, np.where(r <= -t_down, z - t_down, y))
 
 
 def project_nonneg(z):
     """Euclidean projection onto the nonnegative orthant."""
-    out = np.maximum(np.asarray(z, dtype=float), 0.0)
-    return float(out) if out.ndim == 0 else out
+    return np.maximum(np.asarray(z, dtype=float), 0.0)
 
 
 def objective(problem: MirProblem, c) -> float:
-    """Penalized quantile-loss objective at coefficients c."""
+    """Penalized quantile-loss objective at stacked coefficients (c_up, c_low)."""
     c = np.asarray(c, dtype=float)
-    r = problem.y - problem.A @ c
-    return float(problem.w @ quantile_loss(r, problem.p) + problem.lam * c @ problem.Q @ c)
+    upper, lower = np.split(c, 2)
+    r = problem.y - np.concatenate([problem.A @ upper, problem.A @ lower])
+    penalty = upper @ problem.Q @ upper + lower @ problem.Q @ lower
+    return float(problem.w @ quantile_loss(r, problem.p) + problem.lam * penalty)
 
 
 _NONCROSS_GRID = 1001
@@ -200,10 +188,13 @@ def admm_fit(
 ) -> FittedBand:
     """Run scaled ADMM on the assembled program.
 
-    The c-update solves the equality-constrained quadratic subproblem via a
-    KKT system whose factorization is computed once.  Iteration stops at
-    the fixed budget, or earlier when both residual norms drop below
-    ``stop_tol`` (pass None to disable early stopping).
+    The iterate is theta = (theta_up, theta_low), with each curve's
+    coefficients N theta, so continuity holds exactly at every iteration.
+    The theta-update solves an unconstrained quadratic subproblem through
+    a Cholesky factorization computed once.  Iteration stops at the fixed
+    budget, or earlier when both residual norms drop below ``stop_tol``
+    (pass None to disable early stopping).  The dual residual is measured
+    in theta coordinates.
 
     Parameters
     ----------
@@ -217,66 +208,56 @@ def admm_fit(
     Returns
     -------
     FittedBand
-        Coefficients of both curves plus residual traces and a grid check
+        Coefficients of both curves plus final residuals and a grid check
         of the non-crossing constraint.
     """
     if iters < 1:
         raise ValueError(f"iteration budget must be at least 1, got {iters}")
-    A, Q, H, G = problem.A, problem.Q, problem.H, problem.G
+    N = problem.N
+    AN = problem.A @ N
+    GN = problem.G @ N
+    QN = N.T @ problem.Q @ N
+    A = linalg.block_diag(AN, AN)  # both curves at their own levels
+    G = np.hstack([GN, -GN])  # non-crossing rows on theta_up - theta_low
     p, y, w = problem.p, problem.y, problem.w
     rho = 1.0 / problem.gamma
-    m2 = A.shape[1]
-    nH = H.shape[0]
 
-    M = 2.0 * problem.lam * Q + rho * (A.T @ A + G.T @ G)
-    K = np.zeros((m2 + nH, m2 + nH))
-    K[:m2, :m2] = M
-    K[:m2, m2:] = H.T
-    K[m2:, :m2] = H
+    M = 2.0 * problem.lam * linalg.block_diag(QN, QN) + rho * (A.T @ A + G.T @ G)
     try:
-        lu, piv = linalg.lu_factor(K)
+        factor = linalg.cho_factor(M)
     except linalg.LinAlgError as exc:
         raise ValueError(f"rank-deficient constraints: {exc}") from exc
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= diag.max() * 1e-13:
-        raise ValueError("rank-deficient constraints: singular KKT system")
+    pivots = np.diag(factor[0]) ** 2
+    if pivots.min() <= pivots.max() * 1e-13:
+        raise ValueError("rank-deficient constraints: singular normal matrix")
 
     At, Gt = A.T.copy(), G.T.copy()
-    state = AdmmState(
-        c=np.zeros(m2),
-        z1=np.zeros(A.shape[0]),
-        z2=np.zeros(G.shape[0]),
-        u1=np.zeros(A.shape[0]),
-        u2=np.zeros(G.shape[0]),
-    )
-    rhs = np.zeros(m2 + nH)
+    z1 = np.zeros(A.shape[0])
+    z2 = np.zeros(G.shape[0])
+    u1 = np.zeros(A.shape[0])
+    u2 = np.zeros(G.shape[0])
 
     for it in range(1, iters + 1):
-        rhs[:m2] = rho * (At @ (state.z1 - state.u1) + Gt @ (state.z2 - state.u2))
-        state.c = linalg.lu_solve((lu, piv), rhs)[:m2]
-        Ac = A @ state.c
-        Gc = G @ state.c
+        rhs = rho * (At @ (z1 - u1) + Gt @ (z2 - u2))
+        theta = linalg.cho_solve(factor, rhs, check_finite=False)  # theta is checked below
+        Ac = A @ theta
+        Gc = G @ theta
 
-        z1_new = prox_quantile_loss(Ac + state.u1, p, y, w, problem.gamma)
-        z2_new = project_nonneg(Gc + state.u2)
-        dual = rho * np.linalg.norm(At @ (z1_new - state.z1) + Gt @ (z2_new - state.z2))
-        state.z1, state.z2 = z1_new, z2_new
-        state.u1 = state.u1 + Ac - state.z1
-        state.u2 = state.u2 + Gc - state.z2
-        primal = np.sqrt(
-            np.linalg.norm(Ac - state.z1) ** 2 + np.linalg.norm(Gc - state.z2) ** 2
-        )
+        z1_new = prox_quantile_loss(Ac + u1, p, y, w, problem.gamma)
+        z2_new = project_nonneg(Gc + u2)
+        dual = rho * np.linalg.norm(At @ (z1_new - z1) + Gt @ (z2_new - z2))
+        z1, z2 = z1_new, z2_new
+        u1 = u1 + Ac - z1
+        u2 = u2 + Gc - z2
+        primal = np.sqrt(np.linalg.norm(Ac - z1) ** 2 + np.linalg.norm(Gc - z2) ** 2)
 
-        if not (np.isfinite(primal) and np.isfinite(dual) and np.all(np.isfinite(state.c))):
+        if not (np.isfinite(primal) and np.isfinite(dual) and np.all(np.isfinite(theta))):
             raise RuntimeError(f"non-finite iterates at iteration {it}")
-        state.iteration = it
-        state.primal_residuals.append(primal)
-        state.dual_residuals.append(dual)
         if stop_tol is not None and primal < stop_tol and dual < stop_tol:
             break
 
-    m = problem.basis.size
-    upper, lower = state.c[:m], state.c[m:]
+    theta_up, theta_low = np.split(theta, 2)
+    upper, lower = N @ theta_up, N @ theta_low
     grid = np.linspace(problem.basis.knots[0], problem.basis.knots[-1], _NONCROSS_GRID)
     gap = eval_spline(upper, problem.basis, grid) - eval_spline(lower, problem.basis, grid)
     violation = float(max(0.0, -gap.min()))
@@ -291,10 +272,8 @@ def admm_fit(
         upper=upper,
         lower=lower,
         basis=problem.basis,
-        iterations=state.iteration,
-        primal_residual=state.primal_residuals[-1],
-        dual_residual=state.dual_residuals[-1],
-        primal_history=np.asarray(state.primal_residuals),
-        dual_history=np.asarray(state.dual_residuals),
+        iterations=it,
+        primal_residual=float(primal),
+        dual_residual=float(dual),
         noncross_violation=violation,
     )

@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "SplineBasis",
-    "design_row",
     "design_matrix",
     "continuity_matrix",
     "penalty_matrix",
@@ -92,13 +91,8 @@ class SplineBasis:
         return np.maximum(idx, 0)
 
 
-def design_row(x: float, basis: SplineBasis) -> np.ndarray:
-    """Evaluation row: dot with a coefficient vector gives the spline at x."""
-    return design_matrix(np.asarray([x], dtype=float), basis)[0]
-
-
 def design_matrix(x, basis: SplineBasis) -> np.ndarray:
-    """Stacked evaluation rows for an array of points."""
+    """Evaluation rows: row k dotted with coefficients gives the spline at x[k]."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     seg = basis.segment_index(x)
     d = basis.degree

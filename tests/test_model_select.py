@@ -59,7 +59,6 @@ def test_band_metrics_hand_computation():
     test = Dataset([1.0, 3.0, 5.0, 6.0, 7.0, 9.0], [1.0, 2.0, 3.0, 5.0, 8.0, 9.0])
     metrics = band_metrics(band, test, alpha=0.5)
     assert metrics.micp == pytest.approx(4.0 / 6.0, abs=1e-15)
-    assert metrics.cp == metrics.micp
     assert metrics.aiw == pytest.approx(6.0, abs=1e-12)
     assert metrics.nmmiw == pytest.approx(6.0 / 8.0, abs=1e-12)
     assert metrics.mcwc == metrics.nmmiw  # coverage met

@@ -1,8 +1,8 @@
-"""Block-program assembly, proximal steps, and ADMM convergence."""
+"""Program assembly, proximal steps, and ADMM convergence."""
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, null_space
+from scipy.linalg import block_diag, lu_factor, lu_solve, null_space
 
 from modalband.intervals import QuantileLevelSet
 from modalband.kde import Dataset
@@ -19,6 +19,7 @@ from modalband.solver import (
 from modalband.spline import (
     SplineBasis,
     continuity_matrix,
+    design_matrix,
     eval_spline,
     noncross_matrix,
     penalty_matrix,
@@ -38,10 +39,10 @@ def small_problem(n=3, lam=1e-2, gamma=1.0):
 
 def test_assemble_block_shapes():
     problem, data, levels, basis = small_problem()
-    assert problem.A.shape == (6, 16)
-    assert problem.Q.shape == (16, 16)
-    assert problem.H.shape == (6, 16)
-    assert problem.G.shape == (8, 16)
+    assert problem.A.shape == (3, 8)
+    assert problem.Q.shape == (8, 8)
+    assert problem.G.shape == (8, 8)
+    assert problem.N.shape == (8, 5)
     assert problem.n == 3
     assert np.array_equal(problem.p, [0.7, 0.75, 0.8, 0.2, 0.25, 0.3])
     assert np.array_equal(problem.y, np.tile(data.y, 2))
@@ -49,13 +50,21 @@ def test_assemble_block_shapes():
 
 
 def test_assemble_blocks_match_single_curve_matrices():
-    problem, data, levels, basis = small_problem()
-    Q_single = penalty_matrix(basis)
-    H_single = continuity_matrix(basis)
-    G_single = noncross_matrix(basis)
-    assert np.array_equal(problem.Q, block_diag(Q_single, Q_single))
-    assert np.array_equal(problem.H, block_diag(H_single, H_single))
-    assert np.array_equal(problem.G, np.hstack([G_single, -G_single]))
+    data = Dataset(np.linspace(0.1, 2.9, 6), np.arange(6.0))
+    levels = QuantileLevelSet(np.full(6, 0.25), np.full(6, 0.75))
+    # (segments, degree, smoothness, null-space dimension); 20 C^2 cubics give 23
+    for segments, degree, smoothness, dim in [(2, 3, 2, 5), (20, 3, 2, 23),
+                                              (7, 2, 1, 9), (5, 4, 0, 21)]:
+        basis = SplineBasis.uniform(0.0, 3.0, segments, degree, smoothness)
+        problem = assemble(data, levels, np.ones(6), basis, 1e-2)
+        assert np.array_equal(problem.A, design_matrix(data.x, basis))
+        assert np.array_equal(problem.Q, penalty_matrix(basis))
+        assert np.array_equal(problem.G, noncross_matrix(basis))
+        N = problem.N
+        assert dim == (degree + 1) * segments - (smoothness + 1) * (segments - 1)
+        assert N.shape == (basis.size, dim)
+        assert np.allclose(N.T @ N, np.eye(dim), atol=1e-13)
+        assert np.max(np.abs(continuity_matrix(basis) @ N)) <= 1e-12
 
 
 def test_assemble_design_evaluates_both_curves():
@@ -63,9 +72,14 @@ def test_assemble_design_evaluates_both_curves():
     rng = np.random.default_rng(3)
     upper = rng.normal(size=basis.size)
     lower = rng.normal(size=basis.size)
-    stacked = problem.A @ np.concatenate([upper, lower])
-    assert np.allclose(stacked[:3], eval_spline(upper, basis, data.x), atol=1e-14)
-    assert np.allclose(stacked[3:], eval_spline(lower, basis, data.x), atol=1e-14)
+    assert np.allclose(problem.A @ upper, eval_spline(upper, basis, data.x), atol=1e-14)
+    assert np.allclose(problem.A @ lower, eval_spline(lower, basis, data.x), atol=1e-14)
+    # the objective pairs the upper curve with p_up and the lower with p_low
+    loss = (quantile_loss(data.y - eval_spline(upper, basis, data.x), levels.p_up).sum()
+            + quantile_loss(data.y - eval_spline(lower, basis, data.x), levels.p_low).sum())
+    penalty = upper @ penalty_matrix(basis) @ upper + lower @ penalty_matrix(basis) @ lower
+    value = objective(problem, np.concatenate([upper, lower]))
+    assert value == pytest.approx(loss + problem.lam * penalty, rel=1e-13)
 
 
 def test_assemble_validation():
@@ -150,8 +164,7 @@ def test_prox_matches_golden_section_search():
 
 def test_project_nonneg():
     assert np.array_equal(project_nonneg([-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
-    scalar = project_nonneg(-3.0)
-    assert scalar == 0.0 and isinstance(scalar, float)
+    assert project_nonneg(-3.0) == 0.0
     z = np.array([0.5, 1.5])
     assert np.array_equal(project_nonneg(project_nonneg(z)), project_nonneg(z))
 
@@ -197,16 +210,18 @@ def test_admm_solution_is_constrained_local_minimum():
     c_star = np.concatenate([band.upper, band.lower])
     base = objective(problem, c_star)
 
-    slack = problem.G @ c_star
-    active = problem.G[slack <= 1e-8]
-    directions = null_space(np.vstack([problem.H, active]))
+    H = block_diag(continuity_matrix(basis), continuity_matrix(basis))
+    G = np.hstack([noncross_matrix(basis), -noncross_matrix(basis)])
+    slack = G @ c_star
+    active = G[slack <= 1e-8]
+    directions = null_space(np.vstack([H, active]))
     assert directions.shape[1] > 0
     checked = 0
     for _ in range(200):
         step = directions @ rng.normal(size=directions.shape[1])
         step *= 1e-3 / np.linalg.norm(step)
         candidate = c_star + step
-        if (problem.G @ candidate).min() < -1e-12:
+        if (G @ candidate).min() < -1e-12:
             continue  # left the feasible set through an inactive row
         assert objective(problem, candidate) >= base - 1e-5 * (1.0 + abs(base))
         checked += 1
@@ -288,3 +303,52 @@ def test_admm_rejects_bad_budget():
     problem, _, _, _ = small_problem()
     with pytest.raises(ValueError, match="iteration budget"):
         admm_fit(problem, iters=0)
+
+
+def kkt_admm_reference(problem, iters):
+    """ADMM over all 2m coefficients, continuity carried as KKT equality rows."""
+    H_single = continuity_matrix(problem.basis)
+    A = block_diag(problem.A, problem.A)
+    Q = block_diag(problem.Q, problem.Q)
+    H = block_diag(H_single, H_single)
+    G = np.hstack([problem.G, -problem.G])
+    rho = 1.0 / problem.gamma
+    m2, nH = A.shape[1], H.shape[0]
+    K = np.block([
+        [2.0 * problem.lam * Q + rho * (A.T @ A + G.T @ G), H.T],
+        [H, np.zeros((nH, nH))],
+    ])
+    lu = lu_factor(K)
+    z1, u1 = np.zeros(A.shape[0]), np.zeros(A.shape[0])
+    z2, u2 = np.zeros(G.shape[0]), np.zeros(G.shape[0])
+    for _ in range(iters):
+        rhs = np.concatenate([rho * (A.T @ (z1 - u1) + G.T @ (z2 - u2)), np.zeros(nH)])
+        c = lu_solve(lu, rhs)[:m2]
+        Ac, Gc = A @ c, G @ c
+        z1 = prox_quantile_loss(Ac + u1, problem.p, problem.y, problem.w, problem.gamma)
+        z2 = project_nonneg(Gc + u2)
+        u1 = u1 + Ac - z1
+        u2 = u2 + Gc - z2
+    return c
+
+
+def test_null_space_admm_matches_kkt_form():
+    rng = np.random.default_rng(44)
+    n = 80
+    x = np.sort(rng.uniform(0.0, 10.0, n))
+    y = np.sin(x) + rng.normal(0.0, 0.3, n)
+    data = Dataset(x, y)
+    levels = QuantileLevelSet(np.full(n, 0.3), np.full(n, 0.7))
+    basis = SplineBasis.uniform(0.0, 10.0, segments=6)
+    problem = assemble(data, levels, rng.uniform(0.5, 2.0, n), basis, lam=1e-2, gamma=1.5)
+    band = admm_fit(problem, iters=300, stop_tol=None)
+    assert band.iterations == 300
+    reference = kkt_admm_reference(problem, 300)
+    assert np.max(np.abs(np.concatenate([band.upper, band.lower]) - reference)) <= 1e-9
+
+    H = continuity_matrix(basis)
+    for budget in (1, 2):
+        early = admm_fit(problem, iters=budget, stop_tol=None)
+        assert np.max(np.abs(H @ early.upper)) <= 1e-12
+        assert np.max(np.abs(H @ early.lower)) <= 1e-12
+    assert np.max(np.abs(early.upper)) > 0.1  # the check is not vacuous

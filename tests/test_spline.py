@@ -9,7 +9,6 @@ from modalband.spline import (
     SplineBasis,
     continuity_matrix,
     design_matrix,
-    design_row,
     eval_spline,
     noncross_matrix,
     penalty_matrix,
@@ -76,15 +75,15 @@ def test_segment_index_right_closed():
 
 def test_design_row_at_segment_edges():
     basis = SplineBasis([0.0, 1.0, 2.0], degree=3)
-    assert np.array_equal(design_row(1.0, basis),
+    assert np.array_equal(design_matrix([1.0], basis)[0],
                           [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(design_row(0.0, basis),
+    assert np.array_equal(design_matrix([0.0], basis)[0],
                           [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_design_row_at_unit_segment_midpoint():
     basis = SplineBasis([0.0, 1.0, 2.0], degree=3)
-    assert np.array_equal(design_row(0.5, basis)[:4], [1.0, 0.5, 0.25, 0.125])
+    assert np.array_equal(design_matrix([0.5], basis)[0, :4], [1.0, 0.5, 0.25, 0.125])
 
 
 def test_design_matrix_stacks_rows():
@@ -93,13 +92,13 @@ def test_design_matrix_stacks_rows():
     x = rng.uniform(basis.knots[0], basis.knots[-1], 20)
     mat = design_matrix(x, basis)
     for k in range(20):
-        assert np.array_equal(mat[k], design_row(float(x[k]), basis))
+        assert np.array_equal(mat[k], design_matrix(x[k:k + 1], basis)[0])
 
 
 def test_design_row_rejects_out_of_range():
     basis = SplineBasis([0.0, 1.0], degree=2)
     with pytest.raises(ValueError, match="outside the knot range"):
-        design_row(1.5, basis)
+        design_matrix([1.5], basis)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +260,7 @@ def test_eval_matches_design_row():
         coeffs = rng.normal(size=basis.size)
         x = float(rng.uniform(basis.knots[0], basis.knots[-1]))
         direct = eval_spline(coeffs, basis, x)
-        via_row = float(design_row(x, basis) @ coeffs)
+        via_row = float(design_matrix([x], basis)[0] @ coeffs)
         assert abs(direct - via_row) < 1e-14 * max(1.0, abs(via_row))
 
 
