@@ -12,12 +12,13 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
 from .kde import Dataset
 from .model_select import select_lambda_cv
-from .pipeline import atomic_write_text, fit_band, load_model, save_model
+from .pipeline import fit_band, load_model, save_model, write_csv
 from .rhythm import DEFAULT_THRESHOLDS, DEFAULT_WINDOW, detect_rhythms
 from .simulate import (
     DEFAULT_LAMBDA_GRID,
@@ -36,10 +37,6 @@ WORKERS_ENV = "MODALBAND_WORKERS"
 
 class CliError(Exception):
     """User-facing failure: message is printed as a single stderr line."""
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
 
 
 def _workers_from_env() -> int:
@@ -122,16 +119,11 @@ def _parse_lambdas(raw: str | None):
     return values
 
 
-def _band_csv_text(band, grid: np.ndarray) -> str:
+def _write_band_csv(path: str, band, grid: np.ndarray) -> None:
     lower = band.lower_at(grid)
     upper = band.upper_at(grid)
-    lines = ["x,lower,upper,midpoint"]
-    for k in range(grid.size):
-        mid = 0.5 * (lower[k] + upper[k])
-        lines.append(
-            f"{_fmt(grid[k])},{_fmt(lower[k])},{_fmt(upper[k])},{_fmt(mid)}"
-        )
-    return "\n".join(lines) + "\n"
+    mid = 0.5 * (lower + upper)
+    write_csv(path, "x,lower,upper,midpoint", zip(grid, lower, upper, mid))
 
 
 def _band_grid(lo: float, hi: float, points: int) -> np.ndarray:
@@ -148,14 +140,14 @@ def _band_grid(lo: float, hi: float, points: int) -> np.ndarray:
 
 def _cmd_fit(args) -> int:
     data = _load_dataset(args.input)
-    basis = None
-    if args.knot_min is not None or args.knot_max is not None:
-        if args.knot_min is None or args.knot_max is None:
-            raise CliError("--knot-min and --knot-max must be given together")
-        basis = SplineBasis.uniform(
-            args.knot_min, args.knot_max, args.segments, args.degree, args.smoothness
-        )
+    if (args.knot_min is None) != (args.knot_max is None):
+        raise CliError("--knot-min and --knot-max must be given together")
     try:
+        basis = None
+        if args.knot_min is not None:
+            basis = SplineBasis.uniform(
+                args.knot_min, args.knot_max, args.segments, args.degree, args.smoothness
+            )
         band, step1 = fit_band(
             data,
             alpha=args.alpha,
@@ -183,10 +175,10 @@ def _cmd_fit(args) -> int:
         "bandwidth": step1.bandwidth,
     }
     save_model(args.model, band, config)
-    print(f"model written to {args.model} (bandwidth {_fmt(step1.bandwidth)})")
+    print(f"model written to {args.model} (bandwidth {step1.bandwidth:.9g})")
     if args.band is not None:
         grid = _band_grid(band.basis.knots[0], band.basis.knots[-1], args.grid_points)
-        atomic_write_text(args.band, _band_csv_text(band, grid))
+        _write_band_csv(args.band, band, grid)
         print(f"band written to {args.band}")
     return 0
 
@@ -212,15 +204,10 @@ def _cmd_cv(args) -> int:
     except (ValueError, RuntimeError) as exc:
         raise CliError(str(exc)) from exc
 
-    lines = ["lambda,mean_mcwc,selected"]
-    for k, lam in enumerate(result.lambdas):
-        score = result.mean_scores[k]
-        lines.append(
-            f"{_fmt(lam)},{'' if np.isnan(score) else _fmt(score)},"
-            f"{1 if k == result.selected_index else 0}"
-        )
-    atomic_write_text(args.output, "\n".join(lines) + "\n")
-    print(f"selected lambda {_fmt(result.selected)} (table in {args.output})")
+    selected = [int(k == result.selected_index) for k in range(result.lambdas.size)]
+    write_csv(args.output, "lambda,mean_mcwc,selected",
+              zip(result.lambdas, result.mean_scores, selected))
+    print(f"selected lambda {result.selected:.9g} (table in {args.output})")
     return 0
 
 
@@ -268,7 +255,7 @@ def _cmd_band(args) -> int:
             f"[{band.basis.knots[0]}, {band.basis.knots[-1]}]"
         )
     grid = _band_grid(lo, hi, args.grid_points)
-    atomic_write_text(args.output, _band_csv_text(band, grid))
+    _write_band_csv(args.output, band, grid)
     print(f"band written to {args.output}")
     return 0
 
@@ -282,14 +269,9 @@ def _cmd_rhythm(args) -> int:
     except ValueError as exc:
         raise CliError(f"{args.input}: {exc}") from exc
 
-    lines = ["trough1_x,peak_x,trough2_x,ratio1,ratio2,classification,ratio_undefined"]
-    for c in cycles:
-        lines.append(",".join([
-            _fmt(c.trough1_x), _fmt(c.peak_x), _fmt(c.trough2_x),
-            _fmt(c.ratio1), _fmt(c.ratio2),
-            c.classification, "1" if c.ratio_undefined else "0",
-        ]))
-    atomic_write_text(args.output, "\n".join(lines) + "\n")
+    write_csv(args.output,
+              "trough1_x,peak_x,trough2_x,ratio1,ratio2,classification,ratio_undefined",
+              map(astuple, cycles))
     print(f"{len(cycles)} cycles written to {args.output}")
     return 0
 

@@ -136,14 +136,6 @@ def mi_quantile_levels(ecdf: WeightedECDF, mi: ModalInterval):
 # Per-observation interval scan
 # ---------------------------------------------------------------------------
 
-def _interval_and_levels(x0: float, source: Dataset, alpha: float, h: float):
-    """Conditional shortest-interval endpoints and levels at one covariate."""
-    ecdf = conditional_cdf(x0, source, h)
-    i, j = _shortest_indices(ecdf.values, ecdf.cum, ecdf.point_weight, alpha)
-    p_low, p_up = _levels_at_indices(ecdf.cum, ecdf.point_weight, i, j)
-    return float(ecdf.values[i]), float(ecdf.values[j]), p_low, p_up
-
-
 def _capped_source(data: Dataset, cap: int, rng) -> Dataset:
     """Subsample used to build conditional distributions when n exceeds cap."""
     if cap < 50:
@@ -154,6 +146,22 @@ def _capped_source(data: Dataset, cap: int, rng) -> Dataset:
     rng = np.random.default_rng(rng)
     keep = np.sort(rng.choice(n, size=cap, replace=False))
     return Dataset(data.x[keep], data.y[keep])
+
+
+def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, rng):
+    """Rows low, up, p_low, p_up of the conditional shortest interval at
+    each query covariate, from the capped source sample."""
+    _check_alpha(alpha)
+    if h <= 0.0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
+    source = _capped_source(data, cap, rng)
+    out = np.empty((4, queries.size))
+    for q, x0 in enumerate(queries):
+        ecdf = conditional_cdf(float(x0), source, h)
+        i, j = _shortest_indices(ecdf.values, ecdf.cum, ecdf.point_weight, alpha)
+        out[2:, q] = _levels_at_indices(ecdf.cum, ecdf.point_weight, i, j)
+        out[:2, q] = ecdf.values[i], ecdf.values[j]
+    return out
 
 
 def estimate_levels_all(
@@ -181,15 +189,7 @@ def estimate_levels_all(
     rng : int, sequence of ints, or numpy Generator
         Seed for the subsample draw; ignored when n <= cap.
     """
-    _check_alpha(alpha)
-    if h <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    source = _capped_source(data, cap, rng)
-    n = len(data)
-    p_low = np.empty(n)
-    p_up = np.empty(n)
-    for i, x0 in enumerate(data.x):
-        _, _, p_low[i], p_up[i] = _interval_and_levels(float(x0), source, alpha, h)
+    _, _, p_low, p_up = _scan(data, data.x, alpha, h, cap, rng)
     return QuantileLevelSet(p_low=p_low, p_up=p_up)
 
 
@@ -201,15 +201,8 @@ def estimate_intervals_at(
     Returns (low, up) arrays aligned with ``queries``.  This is the direct
     kernel-CDF interval estimate, with no smoothing stage on top.
     """
-    _check_alpha(alpha)
-    if h <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
     queries = np.atleast_1d(np.asarray(queries, dtype=float))
-    source = _capped_source(data, cap, rng)
-    low = np.empty(queries.size)
-    up = np.empty(queries.size)
-    for q, x0 in enumerate(queries):
-        low[q], up[q], _, _ = _interval_and_levels(float(x0), source, alpha, h)
+    low, up, _, _ = _scan(data, queries, alpha, h, cap, rng)
     return low, up
 
 

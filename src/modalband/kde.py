@@ -35,6 +35,7 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 WEIGHT_FLOOR = 1e-300
 
 _PAIR_BLOCK = 1024  # row block size for pairwise kernel sums
+_PAIR_BINS = 1000   # resolution of the pairwise-distance histogram
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,7 @@ class WeightedECDF:
 def gaussian_kernel(u):
     """Standard normal density, elementwise."""
     u = np.asarray(u, dtype=float)
-    out = np.exp(-0.5 * u * u) / _SQRT_2PI
-    return float(out) if out.ndim == 0 else out
+    return np.exp(-0.5 * u * u) / _SQRT_2PI
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def _phi6_sum(g: float, centers: np.ndarray, counts: np.ndarray, n: int) -> floa
     return s / (n * (n - 1) * g**7)
 
 
-def select_bandwidth(x, nbins: int = 1000) -> float:
+def select_bandwidth(x) -> float:
     """Solve-the-equation plug-in bandwidth for a Gaussian kernel.
 
     Solves h = [ R(K) / (n * psi4(g(h)) ) ]^(1/5) where the pilot bandwidth
@@ -174,9 +174,6 @@ def select_bandwidth(x, nbins: int = 1000) -> float:
     ----------
     x : array_like
         Sample of covariate values, at least 10 points, not all identical.
-    nbins : int
-        Resolution of the pairwise-distance histogram used by the
-        functional estimators.
 
     Returns
     -------
@@ -194,7 +191,7 @@ def select_bandwidth(x, nbins: int = 1000) -> float:
         raise ValueError("degenerate sample: all covariate values are identical")
 
     scale = _robust_scale(x)
-    centers, counts = _pair_counts(x, nbins)
+    centers, counts = _pair_counts(x, _PAIR_BINS)
 
     a = 1.24 * scale * n ** (-1.0 / 7.0)
     b = 1.23 * scale * n ** (-1.0 / 9.0)

@@ -129,7 +129,6 @@ def select_lambda_cv(
     degree: int = 3,
     smoothness: int = 2,
     cap: int = 1000,
-    weight_exponent: float = 0.2,
     gamma: float = 1.0,
     iters: int = 1000,
     stop_tol: float | None = 1e-8,
@@ -178,10 +177,7 @@ def select_lambda_cv(
         train = Dataset(data.x[mask], data.y[mask])
         test = Dataset(data.x[held], data.y[held])
         try:
-            step1 = run_step1(
-                train, alpha, cap=cap, rng=[seed, v],
-                weight_exponent=weight_exponent,
-            )
+            step1 = run_step1(train, alpha, cap=cap, rng=[seed, v])
         except Exception as exc:  # noqa: BLE001 - a fold failure must not abort CV
             warnings.warn(f"fold {v} stage-1 failed: {exc}", RuntimeWarning, stacklevel=2)
             continue

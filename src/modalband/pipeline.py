@@ -29,6 +29,7 @@ __all__ = [
     "save_model",
     "load_model",
     "atomic_write_text",
+    "write_csv",
 ]
 
 
@@ -47,10 +48,12 @@ def run_step1(
     *,
     cap: int = 1000,
     rng=0,
-    weight_exponent: float = 0.2,
     bandwidth: float | None = None,
 ) -> Step1Result:
     """Interval levels and weights for every observation.
+
+    The observation weights are the covariate density at each x_i raised
+    to the power 1/5.
 
     Parameters
     ----------
@@ -63,8 +66,6 @@ def run_step1(
         it a seeded subsample is used.
     rng : int, sequence of ints, or numpy Generator
         Seed for the subsample draw.
-    weight_exponent : float
-        Power applied to the covariate density in the observation weights.
     bandwidth : float, optional
         Kernel bandwidth; selected by the plug-in rule when omitted.
     """
@@ -72,7 +73,7 @@ def run_step1(
     if h <= 0.0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     levels = estimate_levels_all(data, alpha, h, cap=cap, rng=rng)
-    weights = density_weights(data, h, exponent=weight_exponent)
+    weights = density_weights(data, h)
     return Step1Result(bandwidth=h, levels=levels, weights=weights)
 
 
@@ -102,7 +103,6 @@ def fit_band(
     smoothness: int = 2,
     cap: int = 1000,
     rng=0,
-    weight_exponent: float = 0.2,
     bandwidth: float | None = None,
     gamma: float = 1.0,
     iters: int = 1000,
@@ -117,10 +117,7 @@ def fit_band(
         basis = SplineBasis.uniform(
             float(data.x.min()), float(data.x.max()), segments, degree, smoothness
         )
-    step1 = run_step1(
-        data, alpha, cap=cap, rng=rng,
-        weight_exponent=weight_exponent, bandwidth=bandwidth,
-    )
+    step1 = run_step1(data, alpha, cap=cap, rng=rng, bandwidth=bandwidth)
     band = run_step2(
         data, step1, basis, lam, gamma=gamma, iters=iters, stop_tol=stop_tol
     )
@@ -143,6 +140,24 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _cell(value) -> str:
+    """One CSV field: strings as given, integers as digits, floats at nine
+    significant digits with NaN as an empty field."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):  # bool is an int
+        return str(int(value))
+    value = float(value)
+    return "" if np.isnan(value) else format(value, ".9g")
+
+
+def write_csv(path: str, header: str, rows) -> None:
+    """Write a CSV atomically: the ``header`` line, then one line per row."""
+    lines = [header]
+    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def save_model(path: str, band: FittedBand, config: dict | None = None) -> None:
@@ -177,8 +192,15 @@ def load_model(path: str):
         upper = np.asarray(payload["upper"], dtype=float)
         lower = np.asarray(payload["lower"], dtype=float)
         residuals = payload.get("residuals", {})
+        iterations = int(residuals.get("iterations", 0))
+        primal = float(residuals.get("primal", np.nan))
+        dual = float(residuals.get("dual", np.nan))
+        violation = float(residuals.get("noncross_violation", np.nan))
     except KeyError as exc:
         raise ValueError(f"model file {path} is missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        # a field of the wrong JSON type, or a top level that is no object
+        raise ValueError(f"model file {path} has a malformed field: {exc}") from exc
     if upper.shape != (basis.size,) or lower.shape != (basis.size,):
         raise ValueError(
             f"model file {path} has inconsistent coefficient counts"
@@ -187,9 +209,9 @@ def load_model(path: str):
         upper=upper,
         lower=lower,
         basis=basis,
-        iterations=int(residuals.get("iterations", 0)),
-        primal_residual=float(residuals.get("primal", np.nan)),
-        dual_residual=float(residuals.get("dual", np.nan)),
-        noncross_violation=float(residuals.get("noncross_violation", np.nan)),
+        iterations=iterations,
+        primal_residual=primal,
+        dual_residual=dual,
+        noncross_violation=violation,
     )
     return band, payload.get("config", {})

@@ -27,7 +27,8 @@ class RhythmCycle:
     ``ratio1`` and ``ratio2`` compare the peak value with the preceding
     and following trough values.  When a trough value is at or below zero
     the ratios are undefined: both are reported as 0.0, the grade is
-    "none", and ``ratio_undefined`` is set.
+    "none", and ``ratio_undefined`` is set.  The field order is the
+    column order of the CLI's cycle table.
     """
 
     trough1_x: float
@@ -118,18 +119,9 @@ def detect_rhythms(curve, window: float = DEFAULT_WINDOW,
         if mins_before.size == 0 or mins_after.size == 0:
             continue
         qualified.append((peak, _lowest(mins_before, v), _lowest(mins_after, v)))
-
-    # between two qualified peaks both windows contain the same trough
-    # candidates, so the lowest-leftmost rule already returns one shared
-    # trough for adjacent cycles; collapsing here is a guard in case the
-    # two selections ever disagree
-    for k in range(len(qualified) - 1):
-        peak, t1, t2 = qualified[k]
-        peak_next, t1_next, t2_next = qualified[k + 1]
-        if t1_next < t2:
-            shared = t2 if v[t2] <= v[t1_next] else t1_next
-            qualified[k] = (peak, t1, shared)
-            qualified[k + 1] = (peak_next, shared, t2_next)
+    # two qualified peaks lie more than a window apart, so a minimum seen by
+    # both windows is a candidate for both troughs and the lowest-leftmost
+    # rule picks the same one: consecutive cycles share a trough, never overlap
 
     cycles = []
     for peak, t1, t2 in qualified:

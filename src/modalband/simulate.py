@@ -20,14 +20,14 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .intervals import estimate_intervals_at, true_mi_lognormal, true_mi_normal
 from .kde import Dataset
 from .model_select import band_metrics, rmse_bounds
-from .pipeline import run_step1, run_step2
+from .pipeline import run_step1, run_step2, write_csv
 from .spline import SplineBasis
 
 __all__ = [
@@ -135,11 +135,7 @@ class SimConfig:
     cap: int = 1000
     test_size: int = 1000
     segments: int = 20
-    degree: int = 3
-    smoothness: int = 2
-    gamma: float = 1.0
     iterations: int = 1000
-    weight_exponent: float = 0.2
     include_raw_kde: bool = True
     workers: int = 1
 
@@ -163,7 +159,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class RepResult:
-    """One (method, penalty, replication) outcome. cp is in percent."""
+    """One (method, penalty, replication) outcome. cp is in percent.
+
+    The field order is the column order of ``replications.csv``.
+    """
 
     method: str
     dist: int
@@ -179,7 +178,10 @@ class RepResult:
 
 @dataclass(frozen=True)
 class ExperimentRow:
-    """Aggregate over replications of one (method, penalty) cell."""
+    """Aggregate over replications of one (method, penalty) cell.
+
+    The field order is the column order of ``summary.csv``.
+    """
 
     method: str
     dist: int
@@ -214,25 +216,16 @@ def _coverage_and_width(low, up, test: Dataset):
 def _run_one_rep(config: SimConfig, rep: int, truth: np.ndarray) -> list[RepResult]:
     train = _generate(config, config.n, _stream(config.seed, rep, 0))
     test = _generate(config, config.test_size, _stream(config.seed, rep, 1))
-    basis = SplineBasis.uniform(
-        _DOMAIN[0], _DOMAIN[1], config.segments, config.degree, config.smoothness
-    )
+    basis = SplineBasis.uniform(_DOMAIN[0], _DOMAIN[1], config.segments)
 
     t0 = time.perf_counter()
-    step1 = run_step1(
-        train, config.alpha, cap=config.cap,
-        rng=_stream(config.seed, rep, 2),
-        weight_exponent=config.weight_exponent,
-    )
+    step1 = run_step1(train, config.alpha, cap=config.cap, rng=_stream(config.seed, rep, 2))
     step1_s = time.perf_counter() - t0
 
     results = []
     for lam in config.lambdas:
         t0 = time.perf_counter()
-        band = run_step2(
-            train, step1, basis, lam,
-            gamma=config.gamma, iters=config.iterations,
-        )
+        band = run_step2(train, step1, basis, lam, iters=config.iterations)
         step2_s = time.perf_counter() - t0
         metrics = band_metrics(band, test, config.alpha)
         results.append(RepResult(
@@ -351,39 +344,13 @@ def run_experiment(config: SimConfig) -> list[ExperimentRow]:
 # CSV emission
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    """Nine significant digits; NaN renders as an empty field."""
-    if isinstance(value, float) and np.isnan(value):
-        return ""
-    return format(value, ".9g")
-
-
 def write_replication_csv(path: str, results: list[RepResult]) -> None:
-    """Per-replication rows under the header
-    method,dist,n,lambda,rep,rmse,cp,aiw,step1_s,step2_s."""
-    from .pipeline import atomic_write_text
-
-    lines = ["method,dist,n,lambda,rep,rmse,cp,aiw,step1_s,step2_s"]
-    for r in results:
-        lines.append(",".join([
-            r.method, str(r.dist), str(r.n), _fmt(r.lam), str(r.rep),
-            _fmt(r.rmse), _fmt(r.cp), _fmt(r.aiw), _fmt(r.step1_s), _fmt(r.step2_s),
-        ]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Per-replication rows, one per (method, penalty, replication)."""
+    write_csv(path, "method,dist,n,lambda,rep,rmse,cp,aiw,step1_s,step2_s",
+              map(astuple, results))
 
 
 def write_summary_csv(path: str, rows: list[ExperimentRow]) -> None:
     """Aggregated rows with mean/SD columns per (method, n, lambda) cell."""
-    from .pipeline import atomic_write_text
-
-    lines = [
-        "method,dist,n,lambda,reps,rmse_mean,rmse_sd,cp_mean,cp_sd,"
-        "aiw_mean,aiw_sd,step1_s_mean,step2_s_mean"
-    ]
-    for r in rows:
-        lines.append(",".join([
-            r.method, str(r.dist), str(r.n), _fmt(r.lam), str(r.reps),
-            _fmt(r.rmse_mean), _fmt(r.rmse_sd), _fmt(r.cp_mean), _fmt(r.cp_sd),
-            _fmt(r.aiw_mean), _fmt(r.aiw_sd), _fmt(r.step1_mean), _fmt(r.step2_mean),
-        ]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "method,dist,n,lambda,reps,rmse_mean,rmse_sd,cp_mean,cp_sd,"
+                    "aiw_mean,aiw_sd,step1_s_mean,step2_s_mean", map(astuple, rows))

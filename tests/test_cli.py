@@ -162,6 +162,32 @@ def test_fit_knot_flags_must_come_together(xy_csv, tmp_path, capsys):
     assert "--knot-min and --knot-max must be given together" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("knots", [
+    ["--knot-min", "5", "--knot-max", "1"],
+    ["--knot-min", "0", "--knot-max", "10", "--segments", "0"],
+])
+def test_fit_rejects_bad_knot_grid_in_one_line(xy_csv, tmp_path, capsys, knots):
+    code = main(["fit", "--input", str(xy_csv), "--model", str(tmp_path / "m.json"), *knots])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("payload", [
+    [],
+    {"knots": [0.0, 1.0], "degree": None, "smoothness": 2,
+     "upper": [0.0] * 4, "lower": [0.0] * 4},
+])
+def test_band_rejects_malformed_model_in_one_line(tmp_path, capsys, payload):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(payload))
+    code = main(["band", "--model", str(model), "--output", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(model) in err
+
+
 # ---------------------------------------------------------------------------
 # input validation
 # ---------------------------------------------------------------------------

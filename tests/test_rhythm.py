@@ -72,6 +72,36 @@ def test_adjacent_cycles_share_troughs():
         assert left.trough2_x == right.trough1_x
 
 
+def random_curve(rng, kind):
+    """Random walk, noisy sinusoid, or a random walk rounded to produce ties,
+    on random strictly increasing x."""
+    n = int(rng.integers(10, 300))
+    x = np.cumsum(rng.uniform(0.05, 3.0, n))
+    if kind == 0:
+        v = np.cumsum(rng.normal(size=n))
+    elif kind == 1:
+        v = np.sin(2.0 * np.pi * x / rng.uniform(3.0, 60.0)) + rng.normal(0.0, 0.3, n)
+    else:
+        v = np.round(np.cumsum(rng.normal(size=n)) * rng.uniform(0.5, 3.0))
+    return np.column_stack([x, v])
+
+
+def test_consecutive_cycles_never_overlap_on_random_curves():
+    # two qualified peaks lie more than a window apart, so both trough
+    # choices between them see the same lowest-leftmost minimum
+    rng = np.random.default_rng(20260)
+    pairs = shared = 0
+    for k in range(1500):
+        cycles = detect_rhythms(random_curve(rng, k % 3), window=rng.uniform(0.5, 40.0))
+        for c in cycles:
+            assert c.trough1_x < c.peak_x < c.trough2_x
+        for left, right in zip(cycles, cycles[1:]):
+            assert left.trough2_x <= right.trough1_x
+            pairs += 1
+            shared += left.trough2_x == right.trough1_x
+    assert pairs > 1000 and shared > 100  # the shared-trough case is exercised
+
+
 def test_period_property():
     cycle = RhythmCycle(trough1_x=21.0, peak_x=35.0, trough2_x=49.0,
                         ratio1=3.0, ratio2=3.0, classification="significant")
