@@ -158,7 +158,6 @@ def _cmd_fit(args) -> int:
             smoothness=args.smoothness,
             cap=args.cap,
             rng=args.seed,
-            gamma=args.gamma,
             iters=args.iters,
         )
     except (ValueError, RuntimeError) as exc:
@@ -168,7 +167,6 @@ def _cmd_fit(args) -> int:
         "input": os.path.abspath(args.input),
         "alpha": args.alpha,
         "lambda": args.penalty,
-        "gamma": args.gamma,
         "iterations": args.iters,
         "cap": args.cap,
         "seed": args.seed,
@@ -198,7 +196,6 @@ def _cmd_cv(args) -> int:
             degree=args.degree,
             smoothness=args.smoothness,
             cap=args.cap,
-            gamma=args.gamma,
             iters=args.iters,
         )
     except (ValueError, RuntimeError) as exc:
@@ -291,7 +288,6 @@ def _add_fit_params(sub, with_penalty: bool = True) -> None:
                      help="continuous derivative order at knots (default 2)")
     sub.add_argument("--cap", type=int, default=1000,
                      help="largest sample used for conditional CDFs (default 1000)")
-    sub.add_argument("--gamma", type=float, default=1.0, help="ADMM step size (default 1)")
     sub.add_argument("--iters", type=int, default=1000,
                      help="ADMM iteration budget (default 1000)")
 

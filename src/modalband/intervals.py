@@ -10,11 +10,11 @@ endpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
-from .kde import Dataset, WeightedECDF, conditional_cdf
+from .kde import Dataset, WeightedECDF, _find_root, conditional_cdf
 
 __all__ = [
     "ModalInterval",
@@ -210,6 +210,9 @@ def estimate_intervals_at(
 # Exact intervals for known conditional distributions
 # ---------------------------------------------------------------------------
 
+_STANDARD_NORMAL = NormalDist()
+
+
 def true_mi_normal(mu: float, sigma: float, alpha: float) -> ModalInterval:
     """Shortest interval with mass alpha of a normal distribution.
 
@@ -219,57 +222,29 @@ def true_mi_normal(mu: float, sigma: float, alpha: float) -> ModalInterval:
     _check_alpha(alpha)
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    z = float(ndtri(0.5 * (1.0 + alpha)))
+    z = _STANDARD_NORMAL.inv_cdf(0.5 * (1.0 + alpha))
     return ModalInterval(mu - z * sigma, mu + z * sigma, alpha)
-
-
-def _golden_min(fun, lo: float, hi: float, iterations: int = 200):
-    """Golden-section minimizer of a unimodal scalar function on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iterations):
-        if b - a < 1e-14:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
 
 
 def true_mi_lognormal(mu: float, sigma: float, alpha: float) -> ModalInterval:
     """Shortest interval with mass alpha of a log-normal distribution.
 
-    The interval [Q(p), Q(p + alpha)] is narrowest at the p minimizing its
-    width, located by golden-section search over p in (0, 1 - alpha) with a
-    grid-scan fallback guarding against a missed basin.
+    The density is equal at both ends of the shortest interval, which on
+    the standard-normal scale z = (log y - mu) / sigma means
+    z_low + z_up = -2 sigma.  Along that line the mass
+    Phi(z_up) - Phi(z_low) rises from 0 to 1 as z_low falls from -sigma,
+    so z_low is the root of a bracketed, monotone equation.
     """
     _check_alpha(alpha)
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    cdf = _STANDARD_NORMAL.cdf
 
-    def quantile(p):
-        return np.exp(mu + sigma * ndtri(p))
+    def excess_mass(z_low):
+        return cdf(-2.0 * sigma - z_low) - cdf(z_low) - alpha
 
-    def width(p):
-        return quantile(p + alpha) - quantile(p)
-
-    eps = 1e-12
-    lo, hi = eps, 1.0 - alpha - eps
-    p_star = _golden_min(width, lo, hi)
-
-    # fallback: coarse scan catches a basin the golden section may have missed
-    grid = np.linspace(lo, hi, 2049)
-    widths = quantile(grid + alpha) - quantile(grid)
-    k = int(np.argmin(widths))
-    if widths[k] < width(p_star):
-        p_star = _golden_min(width, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
-
-    return ModalInterval(float(quantile(p_star)), float(quantile(p_star + alpha)), alpha)
+    # at this z_low each tail holds at most (1 - alpha)/2, so the mass is >= alpha
+    far = _STANDARD_NORMAL.inv_cdf(0.5 * (1.0 - alpha)) - 2.0 * sigma
+    z_low = _find_root(excess_mass, far, -sigma)
+    low, up = np.exp(mu + sigma * np.array([z_low, -2.0 * sigma - z_low]))
+    return ModalInterval(float(low), float(up), alpha)

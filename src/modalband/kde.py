@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 __all__ = [
     "Dataset",
@@ -163,6 +162,43 @@ def _phi6_sum(g: float, centers: np.ndarray, counts: np.ndarray, n: int) -> floa
     return s / (n * (n - 1) * g**7)
 
 
+def _find_root(f, lo: float, hi: float, xtol: float = 0.0, maxiter: int = 200) -> float:
+    """Root of f on a bracket [lo, hi] whose end values differ in sign.
+
+    Illinois regula falsi: step to where the chord crosses zero (to the
+    midpoint when that is not strictly inside), keep the half that changes
+    sign, and halve the stored value of an end kept twice running.  Stops
+    at a bracket at most ``xtol`` wide or with no float inside, at a zero,
+    or after ``maxiter`` steps; returns NaN where f is not finite.
+    """
+    flo, fhi = f(lo), f(hi)
+    kept = 0  # -1: lo moved last, 1: hi moved last
+    for _ in range(maxiter):
+        if hi - lo <= xtol:
+            break
+        x = (lo * fhi - hi * flo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = f(x)
+        if not np.isfinite(fx):
+            return np.nan
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
+            if kept == -1:
+                fhi *= 0.5
+            kept = -1
+        else:
+            hi, fhi = x, fx
+            if kept == 1:
+                flo *= 0.5
+            kept = 1
+    return 0.5 * (lo + hi)
+
+
 def select_bandwidth(x) -> float:
     """Solve-the-equation plug-in bandwidth for a Gaussian kernel.
 
@@ -224,10 +260,7 @@ def select_bandwidth(x) -> float:
     else:
         return normal_reference_bandwidth(x)
 
-    try:
-        h = optimize.brentq(gap, lo, hi, xtol=1e-12 * scale, rtol=1e-14, maxiter=200)
-    except (ValueError, RuntimeError):
-        return normal_reference_bandwidth(x)
+    h = _find_root(gap, lo, hi, xtol=1e-12 * scale)
     if not np.isfinite(h) or h <= 0.0:
         return normal_reference_bandwidth(x)
     return float(h)

@@ -129,7 +129,6 @@ def select_lambda_cv(
     degree: int = 3,
     smoothness: int = 2,
     cap: int = 1000,
-    gamma: float = 1.0,
     iters: int = 1000,
     stop_tol: float | None = 1e-8,
 ) -> CvResult:
@@ -183,10 +182,7 @@ def select_lambda_cv(
             continue
         for g, lam in enumerate(grid):
             try:
-                band = run_step2(
-                    train, step1, basis, lam,
-                    gamma=gamma, iters=iters, stop_tol=stop_tol,
-                )
+                band = run_step2(train, step1, basis, lam, iters=iters, stop_tol=stop_tol)
                 fold_scores[g, v] = band_metrics(band, test, alpha, eta).mcwc
             except Exception as exc:  # noqa: BLE001
                 warnings.warn(

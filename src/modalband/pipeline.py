@@ -83,12 +83,11 @@ def run_step2(
     basis: SplineBasis,
     lam: float,
     *,
-    gamma: float = 1.0,
     iters: int = 1000,
     stop_tol: float | None = 1e-8,
 ) -> FittedBand:
     """Fit the non-crossing bound curves at one penalty value."""
-    problem = assemble(data, step1.levels, step1.weights, basis, lam, gamma)
+    problem = assemble(data, step1.levels, step1.weights, basis, lam)
     return admm_fit(problem, iters=iters, stop_tol=stop_tol)
 
 
@@ -104,7 +103,6 @@ def fit_band(
     cap: int = 1000,
     rng=0,
     bandwidth: float | None = None,
-    gamma: float = 1.0,
     iters: int = 1000,
     stop_tol: float | None = 1e-8,
 ):
@@ -118,9 +116,7 @@ def fit_band(
             float(data.x.min()), float(data.x.max()), segments, degree, smoothness
         )
     step1 = run_step1(data, alpha, cap=cap, rng=rng, bandwidth=bandwidth)
-    band = run_step2(
-        data, step1, basis, lam, gamma=gamma, iters=iters, stop_tol=stop_tol
-    )
+    band = run_step2(data, step1, basis, lam, iters=iters, stop_tol=stop_tol)
     return band, step1
 
 
@@ -181,9 +177,9 @@ def save_model(path: str, band: FittedBand, config: dict | None = None) -> None:
 
 def load_model(path: str):
     """Load a fitted band saved by :func:`save_model`; returns (band, config)."""
-    with open(path) as handle:
-        payload = json.load(handle)
     try:
+        with open(path) as handle:  # OSError passes through to the caller
+            payload = json.load(handle)
         basis = SplineBasis(
             np.asarray(payload["knots"], dtype=float),
             int(payload["degree"]),
@@ -199,8 +195,8 @@ def load_model(path: str):
     except KeyError as exc:
         raise ValueError(f"model file {path} is missing field {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
-        # a field of the wrong JSON type, or a top level that is no object
-        raise ValueError(f"model file {path} has a malformed field: {exc}") from exc
+        # not JSON text, a field of the wrong JSON type, or a top level that is no object
+        raise ValueError(f"model file {path} is malformed: {exc}") from exc
     if upper.shape != (basis.size,) or lower.shape != (basis.size,):
         raise ValueError(
             f"model file {path} has inconsistent coefficient counts"

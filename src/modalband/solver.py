@@ -10,12 +10,12 @@ subject to continuity at the knots up to the smoothness order and the
 segmentwise non-crossing condition (G c >= 0).  Continuity holds by
 construction: each curve is written as N theta, with N an orthonormal
 basis of the null space of :func:`continuity_matrix`, so the program has
-2r unknowns instead of 2m (46 instead of 160 for 20 C^2 cubic segments).  Splitting with z1 = A N theta and
-z2 = G N theta gives ADMM updates in which z1 is a componentwise
-quantile-loss proximal step and z2 a projection onto the nonnegative
-orthant.  The theta-update is an unconstrained least-squares problem whose
-2r x 2r normal matrix is Cholesky-factored once and reused across
-iterations.
+2r unknowns instead of 2m (46 instead of 160 for 20 C^2 cubic segments).
+Splitting with z1 = A N theta and z2 = G N theta gives ADMM updates, at
+step size 1, in which z1 is a componentwise quantile-loss proximal step
+and z2 a projection onto the nonnegative orthant.  The theta-update is an
+unconstrained least-squares problem whose 2r x 2r normal matrix is
+Cholesky-factored and inverted once per fit.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .intervals import QuantileLevelSet
 from .kde import Dataset
@@ -68,7 +67,6 @@ class MirProblem:
     y: np.ndarray
     w: np.ndarray
     lam: float
-    gamma: float
     basis: SplineBasis
     n: int
 
@@ -104,7 +102,6 @@ def assemble(
     weights,
     basis: SplineBasis,
     lam: float,
-    gamma: float = 1.0,
 ) -> MirProblem:
     """Build the program coupling the two bound curves.
 
@@ -122,12 +119,10 @@ def assemble(
         raise ValueError("weights must be positive and finite")
     if lam <= 0.0:
         raise ValueError(f"penalty strength must be positive, got {lam}")
-    if gamma <= 0.0:
-        raise ValueError(f"step size must be positive, got {gamma}")
 
     A = design_matrix(data.x, basis)  # raises when x leaves the knot range
     Q = penalty_matrix(basis)
-    N = linalg.null_space(continuity_matrix(basis))
+    N = _null_space(continuity_matrix(basis))
     G = noncross_matrix(basis)
 
     return MirProblem(
@@ -139,10 +134,17 @@ def assemble(
         y=np.concatenate([data.y, data.y]),
         w=np.concatenate([weights, weights]),
         lam=float(lam),
-        gamma=float(gamma),
         basis=basis,
         n=n,
     )
+
+
+def _null_space(H: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of null(H): the right singular vectors past the
+    numerical rank, which counts singular values s > max(H.shape) * eps * s_max."""
+    _, s, vh = np.linalg.svd(H)
+    rank = int(np.sum(s > max(H.shape) * np.finfo(float).eps * s[0]))
+    return vh[rank:].T
 
 
 def quantile_loss(t, p):
@@ -190,11 +192,11 @@ def admm_fit(
 
     The iterate is theta = (theta_up, theta_low), with each curve's
     coefficients N theta, so continuity holds exactly at every iteration.
-    The theta-update solves an unconstrained quadratic subproblem through
-    a Cholesky factorization computed once.  Iteration stops at the fixed
-    budget, or earlier when both residual norms drop below ``stop_tol``
-    (pass None to disable early stopping).  The dual residual is measured
-    in theta coordinates.
+    The theta-update solves an unconstrained quadratic subproblem with
+    the inverse of its normal matrix, formed once from a Cholesky factor.
+    Iteration stops at the fixed budget, or earlier when both residual
+    norms drop below ``stop_tol`` (pass None to disable early stopping).
+    The dual residual is measured in theta coordinates.
 
     Parameters
     ----------
@@ -217,19 +219,20 @@ def admm_fit(
     AN = problem.A @ N
     GN = problem.G @ N
     QN = N.T @ problem.Q @ N
-    A = linalg.block_diag(AN, AN)  # both curves at their own levels
+    A = np.kron(np.eye(2), AN)  # both curves at their own levels
     G = np.hstack([GN, -GN])  # non-crossing rows on theta_up - theta_low
     p, y, w = problem.p, problem.y, problem.w
-    rho = 1.0 / problem.gamma
 
-    M = 2.0 * problem.lam * linalg.block_diag(QN, QN) + rho * (A.T @ A + G.T @ G)
+    M = 2.0 * problem.lam * np.kron(np.eye(2), QN) + A.T @ A + G.T @ G
     try:
-        factor = linalg.cho_factor(M)
-    except linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
         raise ValueError(f"rank-deficient constraints: {exc}") from exc
-    pivots = np.diag(factor[0]) ** 2
+    pivots = np.diag(L) ** 2
     if pivots.min() <= pivots.max() * 1e-13:
         raise ValueError("rank-deficient constraints: singular normal matrix")
+    L_inv = np.linalg.inv(L)
+    M_inv = L_inv.T @ L_inv
 
     At, Gt = A.T.copy(), G.T.copy()
     z1 = np.zeros(A.shape[0])
@@ -238,14 +241,13 @@ def admm_fit(
     u2 = np.zeros(G.shape[0])
 
     for it in range(1, iters + 1):
-        rhs = rho * (At @ (z1 - u1) + Gt @ (z2 - u2))
-        theta = linalg.cho_solve(factor, rhs, check_finite=False)  # theta is checked below
+        theta = M_inv @ (At @ (z1 - u1) + Gt @ (z2 - u2))
         Ac = A @ theta
         Gc = G @ theta
 
-        z1_new = prox_quantile_loss(Ac + u1, p, y, w, problem.gamma)
+        z1_new = prox_quantile_loss(Ac + u1, p, y, w, 1.0)
         z2_new = project_nonneg(Gc + u2)
-        dual = rho * np.linalg.norm(At @ (z1_new - z1) + Gt @ (z2_new - z2))
+        dual = np.linalg.norm(At @ (z1_new - z1) + Gt @ (z2_new - z2))
         z1, z2 = z1_new, z2_new
         u1 = u1 + Ac - z1
         u2 = u2 + Gc - z2

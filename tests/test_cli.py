@@ -1,10 +1,14 @@
 """End-to-end command-line tests driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import modalband
 from modalband.cli import main
 from modalband.pipeline import fit_band, load_model
 from modalband.simulate import gen_dist1
@@ -177,10 +181,11 @@ def test_fit_rejects_bad_knot_grid_in_one_line(xy_csv, tmp_path, capsys, knots):
     [],
     {"knots": [0.0, 1.0], "degree": None, "smoothness": 2,
      "upper": [0.0] * 4, "lower": [0.0] * 4},
+    pytest.param("x,lower,upper,midpoint\n0.0,1.0,2.0,1.5\n", id="not-json"),
 ])
 def test_band_rejects_malformed_model_in_one_line(tmp_path, capsys, payload):
     model = tmp_path / "m.json"
-    model.write_text(json.dumps(payload))
+    model.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code = main(["band", "--model", str(model), "--output", str(tmp_path / "out.csv")])
     assert code == 1
     err = capsys.readouterr().err
@@ -380,3 +385,43 @@ def test_rhythm_invalid_thresholds(tmp_path, capsys):
                  "--mild", "1.5", "--significant", "1.25"])
     assert code == 1
     assert "thresholds must satisfy" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+# ---------------------------------------------------------------------------
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # every scipy import now raises ModuleNotFoundError
+from modalband.cli import main
+
+data, out = sys.argv[1], sys.argv[2]
+for argv in (
+    ["fit", "--input", data, "--model", out + "/m.json", "--band", out + "/band.csv",
+     "--segments", "10"],
+    ["band", "--model", out + "/m.json", "--output", out + "/band2.csv"],
+    ["rhythm", "--input", out + "/band.csv", "--output", out + "/cycles.csv",
+     "--window", "1"],
+    ["cv", "--input", data, "--output", out + "/cv.csv", "--lambdas", "1e-2",
+     "--folds", "2", "--seed", "1", "--segments", "10", "--iters", "100"],
+    ["simulate", "--dist", "2", "--n", "120", "--reps", "1", "--lambdas", "1e-2",
+     "--test-size", "100", "--seed", "1", "--out-dir", out + "/sim"],
+):
+    if main(argv) != 0:
+        sys.exit(argv[0] + " failed")
+"""
+
+
+def test_commands_run_without_scipy(xy_csv, tmp_path):
+    src = os.path.dirname(os.path.dirname(modalband.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(xy_csv), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    for name in ("m.json", "band.csv", "band2.csv", "cycles.csv", "cv.csv",
+                 "sim/replications.csv", "sim/summary.csv"):
+        assert (tmp_path / name).is_file(), name

@@ -12,6 +12,7 @@ from modalband.kde import (
     normal_reference_bandwidth,
     select_bandwidth,
 )
+from modalband.simulate import gen_dist1
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -125,6 +126,22 @@ def test_bandwidth_scale_equivariance():
     h = select_bandwidth(x)
     h_scaled = select_bandwidth(10.0 * x)
     assert abs(h_scaled - 10.0 * h) < 1e-9 * h_scaled
+
+
+@pytest.mark.parametrize("sample,expected", [
+    (lambda: np.repeat(np.arange(0.0, 241.0), 2), 14.731419422695708),
+    (lambda: gen_dist1(1000, np.random.default_rng(1)).x, 0.45694727273420604),
+    # the outlier stretches the root bracket to [0.48, 4.5e7], and inside it
+    # the equation has no finite value near h = 5.5e3
+    (lambda: np.append(np.random.default_rng(2).standard_normal(500), 1e6),
+     0.49308217989293046),
+], ids=["hourly", "dist1-n1000", "normal-with-outlier"])
+def test_bandwidth_root_matches_brent_reference(sample, expected):
+    # expected values are scipy.optimize.brentq's roots, at xtol = 1e-12 * scale
+    x = sample()
+    q75, q25 = np.percentile(x, [75.0, 25.0])
+    scale = min(x.std(ddof=1), (q75 - q25) / 1.349)
+    assert abs(select_bandwidth(x) - expected) <= 1e-12 * scale
 
 
 def test_bandwidth_rejects_degenerate_sample():

@@ -26,11 +26,11 @@ from modalband.spline import (
 )
 
 
-def small_problem(n=3, lam=1e-2, gamma=1.0):
+def small_problem(n=3, lam=1e-2):
     data = Dataset([0.2, 1.0, 1.7], [1.0, 2.0, 3.0])
     levels = QuantileLevelSet([0.2, 0.25, 0.3], [0.7, 0.75, 0.8])
     basis = SplineBasis([0.0, 1.0, 2.0], degree=3, smoothness=2)
-    return assemble(data, levels, np.ones(n), basis, lam, gamma), data, levels, basis
+    return assemble(data, levels, np.ones(n), basis, lam), data, levels, basis
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +95,6 @@ def test_assemble_validation():
         assemble(data, levels3, [1.0, 0.0, 1.0], basis, 1e-2)
     with pytest.raises(ValueError, match="penalty strength"):
         assemble(data, levels3, np.ones(3), basis, 0.0)
-    with pytest.raises(ValueError, match="step size"):
-        assemble(data, levels3, np.ones(3), basis, 1e-2, gamma=-1.0)
     outside = Dataset([0.2, 1.0, 2.5], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="outside the knot range"):
         assemble(outside, levels3, np.ones(3), basis, 1e-2)
@@ -272,23 +270,6 @@ def test_band_shifts_with_responses():
     assert np.max(np.abs(low_gap)) <= 1e-6
 
 
-def test_step_size_choice_does_not_move_optimum():
-    rng = np.random.default_rng(43)
-    n = 120
-    x = np.sort(rng.uniform(0.0, 10.0, n))
-    y = np.cos(x) + rng.normal(0.0, 0.2, n)
-    data = Dataset(x, y)
-    levels = QuantileLevelSet(np.full(n, 0.2), np.full(n, 0.8))
-    basis = SplineBasis.uniform(0.0, 10.0, segments=6)
-    curves = []
-    for gamma in (1.0, 2.0):
-        problem = assemble(data, levels, np.ones(n), basis, 1e-2, gamma=gamma)
-        band = admm_fit(problem, iters=5000, stop_tol=None)
-        grid = np.linspace(0.0, 10.0, 301)
-        curves.append(np.concatenate([band.upper_at(grid), band.lower_at(grid)]))
-    assert np.max(np.abs(curves[0] - curves[1])) <= 1e-3
-
-
 def test_admm_rejects_underdetermined_problem():
     # one observation cannot pin down the linear null direction through it
     data = Dataset([0.4], [1.0])
@@ -306,26 +287,26 @@ def test_admm_rejects_bad_budget():
 
 
 def kkt_admm_reference(problem, iters):
-    """ADMM over all 2m coefficients, continuity carried as KKT equality rows."""
+    """ADMM at step size 1 over all 2m coefficients, continuity carried as
+    KKT equality rows."""
     H_single = continuity_matrix(problem.basis)
     A = block_diag(problem.A, problem.A)
     Q = block_diag(problem.Q, problem.Q)
     H = block_diag(H_single, H_single)
     G = np.hstack([problem.G, -problem.G])
-    rho = 1.0 / problem.gamma
     m2, nH = A.shape[1], H.shape[0]
     K = np.block([
-        [2.0 * problem.lam * Q + rho * (A.T @ A + G.T @ G), H.T],
+        [2.0 * problem.lam * Q + A.T @ A + G.T @ G, H.T],
         [H, np.zeros((nH, nH))],
     ])
     lu = lu_factor(K)
     z1, u1 = np.zeros(A.shape[0]), np.zeros(A.shape[0])
     z2, u2 = np.zeros(G.shape[0]), np.zeros(G.shape[0])
     for _ in range(iters):
-        rhs = np.concatenate([rho * (A.T @ (z1 - u1) + G.T @ (z2 - u2)), np.zeros(nH)])
+        rhs = np.concatenate([A.T @ (z1 - u1) + G.T @ (z2 - u2), np.zeros(nH)])
         c = lu_solve(lu, rhs)[:m2]
         Ac, Gc = A @ c, G @ c
-        z1 = prox_quantile_loss(Ac + u1, problem.p, problem.y, problem.w, problem.gamma)
+        z1 = prox_quantile_loss(Ac + u1, problem.p, problem.y, problem.w, 1.0)
         z2 = project_nonneg(Gc + u2)
         u1 = u1 + Ac - z1
         u2 = u2 + Gc - z2
@@ -340,7 +321,7 @@ def test_null_space_admm_matches_kkt_form():
     data = Dataset(x, y)
     levels = QuantileLevelSet(np.full(n, 0.3), np.full(n, 0.7))
     basis = SplineBasis.uniform(0.0, 10.0, segments=6)
-    problem = assemble(data, levels, rng.uniform(0.5, 2.0, n), basis, lam=1e-2, gamma=1.5)
+    problem = assemble(data, levels, rng.uniform(0.5, 2.0, n), basis, lam=1e-2)
     band = admm_fit(problem, iters=300, stop_tol=None)
     assert band.iterations == 300
     reference = kkt_admm_reference(problem, 300)
