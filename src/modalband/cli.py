@@ -289,7 +289,7 @@ def _add_fit_params(sub, with_penalty: bool = True) -> None:
     sub.add_argument("--cap", type=int, default=1000,
                      help="largest sample used for conditional CDFs (default 1000)")
     sub.add_argument("--iters", type=int, default=1000,
-                     help="ADMM iteration budget (default 1000)")
+                     help="ADMM iterations, always run in full (default 1000)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--test-size", type=int, default=1000,
                      help="fresh test points per replication (default 1000)")
     sim.add_argument("--iters", type=int, default=1000,
-                     help="ADMM iteration budget (default 1000)")
+                     help="ADMM iterations, always run in full (default 1000)")
     sim.add_argument("--no-raw-kde", action="store_true",
                      help="skip the unsmoothed kernel-CDF comparator arm")
     sim.add_argument("--seed", type=int, required=True, help="base seed (required)")

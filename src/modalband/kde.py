@@ -33,7 +33,7 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # outside the covariate support fail loudly instead of dividing 0 by 0.
 WEIGHT_FLOOR = 1e-300
 
-_PAIR_BLOCK = 1024  # row block size for pairwise kernel sums
+_PAIR_BLOCK = 256   # row block size for pairwise kernel sums
 _PAIR_BINS = 1000   # resolution of the pairwise-distance histogram
 
 
@@ -132,16 +132,14 @@ def _pair_counts(x: np.ndarray, nbins: int):
     Returns bin-center distances and pair counts; the diagonal (i = j) is
     excluded and added analytically by the functional estimators.
     """
-    n = x.size
     span = float(x.max() - x.min())
     counts = np.zeros(nbins, dtype=float)
-    for start in range(0, n, _PAIR_BLOCK):
-        block = x[start:start + _PAIR_BLOCK, None]
-        d = np.abs(block - x[None, :])
-        # keep strictly-upper-triangle entries only
-        rows, cols = np.indices(d.shape)
-        mask = (cols > rows + start)
-        counts += np.histogram(d[mask], bins=nbins, range=(0.0, span))[0]
+    for start in range(0, x.size, _PAIR_BLOCK):
+        # row i against columns j > start; the j <= i corner of the block
+        # is set to -1, outside the histogram range
+        d = np.abs(x[start:start + _PAIR_BLOCK, None] - x[None, start + 1:])
+        d[np.tri(*d.shape, k=-1, dtype=bool)] = -1.0
+        counts += np.histogram(d, bins=nbins, range=(0.0, span))[0]
     centers = (np.arange(nbins) + 0.5) * (span / nbins)
     return centers, counts
 

@@ -130,7 +130,6 @@ def select_lambda_cv(
     smoothness: int = 2,
     cap: int = 1000,
     iters: int = 1000,
-    stop_tol: float | None = 1e-8,
 ) -> CvResult:
     """Pick the penalty minimizing mean coverage-penalized width across folds.
 
@@ -148,15 +147,21 @@ def select_lambda_cv(
     folds : int
         Number of folds, at least 2.
     alpha, eta : float
-        Coverage target and the criterion's penalty rate.
+        Coverage target and the criterion's penalty rate (positive).
     seed : int
         Seed for the fold shuffle and per-fold subsample draws.
+    iters : int
+        ADMM iterations per fold fit, at least 1.
     """
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0 or np.any(grid <= 0.0):
         raise ValueError("penalty grid must be nonempty and positive")
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
+    if not eta > 0.0:
+        raise ValueError(f"eta must be positive, got {eta}")
     n = len(data)
     if n < 20 * folds:
         raise ValueError(f"need at least {20 * folds} points for {folds} folds, got {n}")
@@ -182,7 +187,7 @@ def select_lambda_cv(
             continue
         for g, lam in enumerate(grid):
             try:
-                band = run_step2(train, step1, basis, lam, iters=iters, stop_tol=stop_tol)
+                band = run_step2(train, step1, basis, lam, iters=iters)
                 fold_scores[g, v] = band_metrics(band, test, alpha, eta).mcwc
             except Exception as exc:  # noqa: BLE001
                 warnings.warn(

@@ -84,11 +84,10 @@ def run_step2(
     lam: float,
     *,
     iters: int = 1000,
-    stop_tol: float | None = 1e-8,
 ) -> FittedBand:
     """Fit the non-crossing bound curves at one penalty value."""
     problem = assemble(data, step1.levels, step1.weights, basis, lam)
-    return admm_fit(problem, iters=iters, stop_tol=stop_tol)
+    return admm_fit(problem, iters=iters)
 
 
 def fit_band(
@@ -104,7 +103,6 @@ def fit_band(
     rng=0,
     bandwidth: float | None = None,
     iters: int = 1000,
-    stop_tol: float | None = 1e-8,
 ):
     """Full two-stage fit; returns (band, step1).
 
@@ -116,7 +114,7 @@ def fit_band(
             float(data.x.min()), float(data.x.max()), segments, degree, smoothness
         )
     step1 = run_step1(data, alpha, cap=cap, rng=rng, bandwidth=bandwidth)
-    band = run_step2(data, step1, basis, lam, iters=iters, stop_tol=stop_tol)
+    band = run_step2(data, step1, basis, lam, iters=iters)
     return band, step1
 
 

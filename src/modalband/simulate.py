@@ -152,6 +152,8 @@ class SimConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.test_size < 10:
             raise ValueError(f"test_size must be at least 10, got {self.test_size}")
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
         object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))

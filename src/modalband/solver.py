@@ -183,35 +183,28 @@ def objective(problem: MirProblem, c) -> float:
 _NONCROSS_GRID = 1001
 
 
-def admm_fit(
-    problem: MirProblem,
-    iters: int = 1000,
-    stop_tol: float | None = 1e-8,
-) -> FittedBand:
-    """Run scaled ADMM on the assembled program.
+def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
+    """Run scaled ADMM on the assembled program for exactly ``iters`` steps.
 
     The iterate is theta = (theta_up, theta_low), with each curve's
     coefficients N theta, so continuity holds exactly at every iteration.
     The theta-update solves an unconstrained quadratic subproblem with
     the inverse of its normal matrix, formed once from a Cholesky factor.
-    Iteration stops at the fixed budget, or earlier when both residual
-    norms drop below ``stop_tol`` (pass None to disable early stopping).
-    The dual residual is measured in theta coordinates.
+    There is no early stop: the primal and dual residual norms are those
+    of the last iterate, the dual one measured in theta coordinates.
 
     Parameters
     ----------
     problem : MirProblem
         Assembled program from :func:`assemble`.
     iters : int
-        Iteration budget, at least 1.
-    stop_tol : float or None
-        Early-stopping threshold on the primal and dual residual norms.
+        Number of iterations, at least 1.
 
     Returns
     -------
     FittedBand
-        Coefficients of both curves plus final residuals and a grid check
-        of the non-crossing constraint.
+        Coefficients of both curves plus the last iterate's residuals and a
+        grid check of the non-crossing constraint.
     """
     if iters < 1:
         raise ValueError(f"iteration budget must be at least 1, got {iters}")
@@ -242,21 +235,20 @@ def admm_fit(
 
     for it in range(1, iters + 1):
         theta = M_inv @ (At @ (z1 - u1) + Gt @ (z2 - u2))
+        if not np.all(np.isfinite(theta)):
+            raise RuntimeError(f"non-finite iterates at iteration {it}")
         Ac = A @ theta
         Gc = G @ theta
-
-        z1_new = prox_quantile_loss(Ac + u1, p, y, w, 1.0)
-        z2_new = project_nonneg(Gc + u2)
-        dual = np.linalg.norm(At @ (z1_new - z1) + Gt @ (z2_new - z2))
-        z1, z2 = z1_new, z2_new
+        z1_prev, z2_prev = z1, z2
+        z1 = prox_quantile_loss(Ac + u1, p, y, w, 1.0)
+        z2 = project_nonneg(Gc + u2)
         u1 = u1 + Ac - z1
         u2 = u2 + Gc - z2
-        primal = np.sqrt(np.linalg.norm(Ac - z1) ** 2 + np.linalg.norm(Gc - z2) ** 2)
 
-        if not (np.isfinite(primal) and np.isfinite(dual) and np.all(np.isfinite(theta))):
-            raise RuntimeError(f"non-finite iterates at iteration {it}")
-        if stop_tol is not None and primal < stop_tol and dual < stop_tol:
-            break
+    primal = np.sqrt(np.linalg.norm(Ac - z1) ** 2 + np.linalg.norm(Gc - z2) ** 2)
+    dual = np.linalg.norm(At @ (z1 - z1_prev) + Gt @ (z2 - z2_prev))
+    if not (np.isfinite(primal) and np.isfinite(dual)):
+        raise RuntimeError(f"non-finite residuals after {iters} iterations")
 
     theta_up, theta_low = np.split(theta, 2)
     upper, lower = N @ theta_up, N @ theta_low
@@ -274,7 +266,7 @@ def admm_fit(
         upper=upper,
         lower=lower,
         basis=problem.basis,
-        iterations=it,
+        iterations=iters,
         primal_residual=float(primal),
         dual_residual=float(dual),
         noncross_violation=violation,

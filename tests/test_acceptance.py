@@ -245,7 +245,7 @@ def test_criterion_10_fits_satisfy_constraints():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             band, _ = fit_band(data, lam=lam, segments=15, rng=0,
-                               iters=10_000, stop_tol=1e-12)
+                               iters=10_000)
         H = continuity_matrix(band.basis)
         worst_cont = max(
             worst_cont,
@@ -305,7 +305,7 @@ def test_criterion_13_shift_equivariance():
     data = gen_dist1(200, philox(88))
     shifted = type(data)(data.x, data.y + 100.0)
     kwargs = dict(alpha=0.5, lam=1e-2, segments=10, rng=0,
-                  iters=20_000, stop_tol=1e-11)
+                  iters=20_000)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         base, _ = fit_band(data, **kwargs)

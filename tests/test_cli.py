@@ -292,6 +292,21 @@ def test_cv_writes_score_table(xy_csv, tmp_path, capsys):
     assert no_temp_leftovers(tmp_path)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--iters", "0", "iters must be at least 1, got 0"),
+    ("--eta", "0", "eta must be positive, got 0.0"),
+], ids=["iters", "eta"])
+def test_cv_rejects_bad_solver_settings_before_fitting(
+    xy_csv, tmp_path, capsys, recwarn, flag, value, message
+):
+    code = main(["cv", "--input", str(xy_csv), "--output", str(tmp_path / "cv.csv"),
+                 "--seed", "1", flag, value])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not recwarn.list  # no fold was fitted
+    assert not (tmp_path / "cv.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -327,6 +342,15 @@ def test_simulate_outputs_are_reproducible(xy_csv, tmp_path, capsys):
     assert [r[0] for r in rows] == ["kde_mir", "kde"]
     assert rows[1][3] == ""
     assert no_temp_leftovers(first)
+
+
+def test_simulate_rejects_zero_iterations_before_fitting(tmp_path, capsys, recwarn):
+    code = main(["simulate", "--dist", "1", "--n", "100", "--reps", "2",
+                 "--iters", "0", "--seed", "0", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: iterations must be at least 1, got 0\n"
+    assert not recwarn.list  # no replication was run
+    assert not (tmp_path / "replications.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Kernel values, bandwidth selection, conditional CDFs, density weights."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from modalband.kde import (
     Dataset,
     WeightedECDF,
+    _pair_counts,
     conditional_cdf,
     density_weights,
     gaussian_kernel,
@@ -142,6 +145,39 @@ def test_bandwidth_root_matches_brent_reference(sample, expected):
     q75, q25 = np.percentile(x, [75.0, 25.0])
     scale = min(x.std(ddof=1), (q75 - q25) / 1.349)
     assert abs(select_bandwidth(x) - expected) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [2, 255, 256, 257, 513])
+@pytest.mark.parametrize("kind", ["normal", "rounded", "replicated"])
+def test_pair_counts_match_histogram_of_upper_triangle(n, kind):
+    x = np.random.default_rng(n).standard_normal(n)
+    if kind == "rounded":
+        x = np.round(x, 1)  # ties
+    elif kind == "replicated":
+        x = (np.arange(1, n + 1) // 2).astype(float)  # 0, 1, 1, 2, 2, ...
+    i, j = np.triu_indices(n, 1)
+    span = float(x.max() - x.min())
+    expected = np.histogram(np.abs(x[i] - x[j]), bins=1000, range=(0.0, span))[0]
+    centers, counts = _pair_counts(x, 1000)
+    assert np.array_equal(counts, expected)
+    assert np.array_equal(centers, (np.arange(1000) + 0.5) * (span / 1000))
+
+
+def traced_peak_bytes(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pairwise_layers_stay_within_memory_bound():
+    # both layers work on blocks of rows; one n x n array of doubles
+    # would take 128 MB here
+    x = np.random.default_rng(4).uniform(0.0, 10.0, 4000)
+    assert traced_peak_bytes(lambda: select_bandwidth(x)) <= 48e6
+    assert traced_peak_bytes(lambda: density_weights(Dataset(x, x), 0.3)) <= 48e6
 
 
 def test_bandwidth_rejects_degenerate_sample():
