@@ -5,6 +5,12 @@ least mass alpha.  Candidate endpoints are the support points themselves;
 interval mass is counted on the closed interval, so the left endpoint's
 atom is included.  Ties in width are broken toward the smallest left
 endpoint.
+
+The per-observation scan behind :func:`estimate_levels_all` and
+:func:`estimate_intervals_at` handles queries in blocks against the
+(capped) source sample.  Its endpoints and levels equal, bit for bit,
+those of :func:`shortest_interval` and :func:`mi_quantile_levels` on one
+``conditional_cdf`` per query, which stay as the per-query reference.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .kde import Dataset, WeightedECDF, _find_root, conditional_cdf
+from .kde import WEIGHT_FLOOR, Dataset, WeightedECDF, _find_root, gaussian_kernel
 
 __all__ = [
     "ModalInterval",
@@ -26,6 +32,8 @@ __all__ = [
     "true_mi_normal",
     "true_mi_lognormal",
 ]
+
+_QUERY_BLOCK = 64  # queries per kernel block of the level scan
 
 
 @dataclass(frozen=True)
@@ -105,12 +113,18 @@ def shortest_interval(ecdf: WeightedECDF, alpha: float) -> ModalInterval:
 
 
 def _levels_at_indices(cum, pw, i, j):
-    """Quantile levels of interval endpoints, clamped away from {0, 1}."""
+    """Quantile levels of interval endpoints, clamped away from {0, 1}.
+
+    One distribution per row of ``cum``/``pw``, one index pair per entry
+    of ``i``/``j``.
+    """
     # half the smallest positive weight, floored so 1 - eps < 1 holds in
     # float64 even when far-tail kernel weights underflow
-    eps = max(0.5 * float(pw[pw > 0.0].min()), np.finfo(float).eps)
-    p_up = min(float(cum[j]), 1.0 - eps)
-    p_low = max(float(cum[i] - pw[i]), eps)
+    smallest = np.min(pw, axis=1, initial=np.inf, where=pw > 0.0)
+    eps = np.maximum(0.5 * smallest, np.finfo(float).eps)
+    rows = np.arange(cum.shape[0])
+    p_up = np.minimum(cum[rows, j], 1.0 - eps)
+    p_low = np.maximum(cum[rows, i] - pw[rows, i], eps)
     return p_low, p_up
 
 
@@ -129,17 +143,22 @@ def mi_quantile_levels(ecdf: WeightedECDF, mi: ModalInterval):
         raise ValueError(f"lower endpoint {mi.low} is not a support point")
     if j >= values.size or values[j] != mi.up:
         raise ValueError(f"upper endpoint {mi.up} is not a support point")
-    return _levels_at_indices(ecdf.cum, ecdf.point_weight, i, j)
+    p_low, p_up = _levels_at_indices(ecdf.cum[None], ecdf.point_weight[None], i, j)
+    return float(p_low[0]), float(p_up[0])
 
 
 # ---------------------------------------------------------------------------
 # Per-observation interval scan
 # ---------------------------------------------------------------------------
 
-def _capped_source(data: Dataset, cap: int, rng) -> Dataset:
-    """Subsample used to build conditional distributions when n exceeds cap."""
+def _check_cap(cap: int) -> None:
     if cap < 50:
         raise ValueError(f"cap must be at least 50, got {cap}")
+
+
+def _capped_source(data: Dataset, cap: int, rng) -> Dataset:
+    """Subsample used to build conditional distributions when n exceeds cap."""
+    _check_cap(cap)
     n = len(data)
     if n <= cap:
         return data
@@ -148,19 +167,77 @@ def _capped_source(data: Dataset, cap: int, rng) -> Dataset:
     return Dataset(data.x[keep], data.y[keep])
 
 
+def _shortest_rows(values, cum, pw, alpha):
+    """The pair (i, j) of :func:`_shortest_indices` for every row of cum/pw.
+
+    Rows are distributions on the same support ``values``; j is
+    ``values.size`` in a row where no interval reaches alpha.
+    """
+    rows, m = cum.shape
+    below = cum - pw  # mass left of each candidate low end
+    first = np.empty((rows, m), dtype=np.intp)
+    for r in range(rows):
+        first[r] = np.searchsorted(cum[r], below[r] + alpha)
+    # rounding can make cum[j] >= below + alpha disagree with the sweep's
+    # closed-mass test cum[j] - below >= alpha, so check the test on both
+    # sides of each j (with cum[-1] = -inf and cum[m] = inf) and redo the
+    # entries that fail it
+    edged = np.pad(cum, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf)).ravel()
+    at = first + ((m + 2) * np.arange(rows) + 1)[:, None]
+    wrong = (edged[at] - below < alpha) | (edged[at - 1] - below >= alpha)
+    for r, k in zip(*np.nonzero(wrong)):
+        first[r, k] = np.searchsorted(cum[r] - below[r, k], alpha)
+    # the sweep never moves j left of i or of the previous j, and stops
+    # once j reaches m
+    j = np.maximum.accumulate(np.maximum(first, np.arange(m)), axis=1)
+    width = np.append(values, np.inf)[j] - values
+    i = np.argmin(width, axis=1)  # leftmost of equal widths
+    return i, j[np.arange(rows), i]
+
+
 def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, rng):
     """Rows low, up, p_low, p_up of the conditional shortest interval at
-    each query covariate, from the capped source sample."""
+    each query covariate, from the capped source sample.
+
+    Queries are taken _QUERY_BLOCK at a time.  Each block forms its kernel
+    weights and pools them onto the distinct source responses in source
+    order, as :func:`conditional_cdf` and ``WeightedECDF.from_samples`` do
+    for one query, so the levels are the same to the last bit.
+    """
     _check_alpha(alpha)
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     source = _capped_source(data, cap, rng)
+    values, inverse = np.unique(source.y, return_inverse=True)
+    m = values.size
+    # row r of a block pools its weights into bins r*m to r*m + m - 1
+    bins = inverse + m * np.arange(_QUERY_BLOCK)[:, None]
     out = np.empty((4, queries.size))
-    for q, x0 in enumerate(queries):
-        ecdf = conditional_cdf(float(x0), source, h)
-        i, j = _shortest_indices(ecdf.values, ecdf.cum, ecdf.point_weight, alpha)
-        out[2:, q] = _levels_at_indices(ecdf.cum, ecdf.point_weight, i, j)
-        out[:2, q] = ecdf.values[i], ecdf.values[j]
+    for start in range(0, queries.size, _QUERY_BLOCK):
+        x0 = queries[start:start + _QUERY_BLOCK]
+        rows = x0.size
+        w = gaussian_kernel((source.x[None, :] - x0[:, None]) / h)
+        w[w < WEIGHT_FLOOR] = 0.0
+        total = w.sum(axis=1)
+        supported = total > 0.0  # the total is NaN for a NaN query
+        pw = np.bincount(bins[:rows].ravel(), weights=w.ravel(), minlength=rows * m)
+        pw = pw.reshape(rows, m) / np.where(supported, total, 1.0)[:, None]
+        cum = np.cumsum(pw, axis=1)
+        i, j = _shortest_rows(values, cum, pw, alpha)
+        failed = ~supported | (j == m)
+        if failed.any():
+            q = int(np.argmax(failed))
+            x_bad = float(x0[q])
+            if not np.isfinite(x_bad):
+                raise ValueError("query point must be finite")
+            if not supported[q]:
+                raise ValueError(
+                    f"no kernel support at x0={x_bad}: all weights underflow at bandwidth {h}"
+                )
+            raise ValueError(f"no interval reaches coverage {alpha}")
+        block = slice(start, start + rows)
+        out[2, block], out[3, block] = _levels_at_indices(cum, pw, i, j)
+        out[0, block], out[1, block] = values[i], values[j]
     return out
 
 

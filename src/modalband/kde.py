@@ -33,7 +33,7 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # outside the covariate support fail loudly instead of dividing 0 by 0.
 WEIGHT_FLOOR = 1e-300
 
-_PAIR_BLOCK = 256   # row block size for pairwise kernel sums
+_PAIR_CHUNK = 1 << 16  # pairs per block of rows: the block's temporaries stay in cache
 _PAIR_BINS = 1000   # resolution of the pairwise-distance histogram
 
 
@@ -129,17 +129,37 @@ def normal_reference_bandwidth(x) -> float:
 def _pair_counts(x: np.ndarray, nbins: int):
     """Histogram of pairwise distances |x_i - x_j| over i < j.
 
-    Returns bin-center distances and pair counts; the diagonal (i = j) is
-    excluded and added analytically by the functional estimators.
+    The counts equal those of ``np.histogram`` with ``nbins`` bins over
+    [0, span].  Returns bin-center distances and pair counts; the diagonal
+    (i = j) is excluded and added analytically by the functional estimators.
     """
-    span = float(x.max() - x.min())
-    counts = np.zeros(nbins, dtype=float)
-    for start in range(0, x.size, _PAIR_BLOCK):
+    x = np.sort(x)  # then x_j - x_i = |x_i - x_j| for j > i, exactly
+    span = float(x[-1] - x[0])
+    # the bins of np.histogram over [0, span]: edges[k] <= d < edges[k+1],
+    # with the last bin closed.  left/right hold each bin's edges; their
+    # inf entries step a guess of nbins back and keep the last bin closed.
+    edges = np.linspace(0.0, span, nbins + 1)
+    left = np.append(edges[:-1], np.inf)
+    right = np.append(edges[1:-1], [np.inf, np.inf])
+    counts = np.zeros(nbins + 1, dtype=np.intp)
+    corner = 0
+    rows = max(1, _PAIR_CHUNK // x.size)
+    for start in range(0, x.size, rows):
         # row i against columns j > start; the j <= i corner of the block
-        # is set to -1, outside the histogram range
-        d = np.abs(x[start:start + _PAIR_BLOCK, None] - x[None, start + 1:])
-        d[np.tri(*d.shape, k=-1, dtype=bool)] = -1.0
-        counts += np.histogram(d, bins=nbins, range=(0.0, span))[0]
+        # is set to 0 and taken back out of bin 0 below
+        d = x[None, start + 1:] - x[start:start + rows, None]
+        tri = np.tri(d.shape[0], min(d.shape), k=-1, dtype=bool)
+        d[:, :tri.shape[1]][tri] = 0.0
+        corner += np.count_nonzero(tri)
+        # the scaled distance is at most one bin off near an edge (and at
+        # most nbins), so one comparison with each neighbouring edge
+        # settles the bin
+        idx = (d * (nbins / span)).astype(np.intp)
+        idx[d < left[idx]] -= 1
+        idx[d >= right[idx]] += 1
+        counts += np.bincount(idx.ravel(), minlength=nbins + 1)
+    counts[0] -= corner
+    counts = counts[:nbins].astype(float)
     centers = (np.arange(nbins) + 0.5) * (span / nbins)
     return centers, counts
 
@@ -308,9 +328,19 @@ def density_weights(data: Dataset, h: float, exponent: float = 0.2) -> np.ndarra
         raise ValueError(f"bandwidth must be positive, got {h}")
     x = data.x
     n = x.size
-    dens = np.empty(n, dtype=float)
-    for start in range(0, n, _PAIR_BLOCK):
-        block = x[start:start + _PAIR_BLOCK, None]
-        dens[start:start + _PAIR_BLOCK] = gaussian_kernel((block - x[None, :]) / h).sum(axis=1)
-    dens /= n * h
+    scale = -0.5 / (h * h)
+    dens = np.zeros(n, dtype=float)
+    rows = max(1, _PAIR_CHUNK // n)
+    for start in range(0, n, rows):
+        stop = start + rows
+        # rows start:stop against columns start:, so the symmetric kernel is
+        # evaluated once per pair: the square block feeds its own rows, the
+        # columns past it feed both their rows and the block's
+        k = x[start:stop, None] - x[None, start:]
+        k *= k
+        k *= scale
+        np.exp(k, out=k)
+        dens[start:stop] += k.sum(axis=1)
+        dens[stop:] += k[:, stop - start:].sum(axis=0)
+    dens /= n * h * _SQRT_2PI
     return dens**exponent

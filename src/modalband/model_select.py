@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .intervals import _check_alpha, _check_cap
 from .kde import Dataset
 from .pipeline import run_step1, run_step2
 from .solver import FittedBand
@@ -150,6 +151,8 @@ def select_lambda_cv(
         Coverage target and the criterion's penalty rate (positive).
     seed : int
         Seed for the fold shuffle and per-fold subsample draws.
+    cap : int
+        Largest stage-1 source sample per fold, at least 50.
     iters : int
         ADMM iterations per fold fit, at least 1.
     """
@@ -162,6 +165,8 @@ def select_lambda_cv(
         raise ValueError(f"iters must be at least 1, got {iters}")
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
+    _check_alpha(alpha)
+    _check_cap(cap)
     n = len(data)
     if n < 20 * folds:
         raise ValueError(f"need at least {20 * folds} points for {folds} folds, got {n}")

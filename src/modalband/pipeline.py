@@ -107,8 +107,13 @@ def fit_band(
     """Full two-stage fit; returns (band, step1).
 
     When no basis is given, a uniform knot grid with the requested segment
-    count is placed over the covariate range.
+    count is placed over the covariate range.  The solver settings are
+    checked before stage 1 runs.
     """
+    if iters < 1:
+        raise ValueError(f"iteration budget must be at least 1, got {iters}")
+    if not lam > 0.0:
+        raise ValueError(f"penalty strength must be positive, got {lam}")
     if basis is None:
         basis = SplineBasis.uniform(
             float(data.x.min()), float(data.x.max()), segments, degree, smoothness

@@ -24,7 +24,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .intervals import estimate_intervals_at, true_mi_lognormal, true_mi_normal
+from .intervals import _check_cap, estimate_intervals_at, true_mi_lognormal, true_mi_normal
 from .kde import Dataset
 from .model_select import band_metrics, rmse_bounds
 from .pipeline import run_step1, run_step2, write_csv
@@ -150,6 +150,7 @@ class SimConfig:
             raise ValueError("penalty grid must be nonempty and positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_cap(self.cap)
         if self.test_size < 10:
             raise ValueError(f"test_size must be at least 10, got {self.test_size}")
         if self.iterations < 1:

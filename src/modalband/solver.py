@@ -15,7 +15,9 @@ Splitting with z1 = A N theta and z2 = G N theta gives ADMM updates, at
 step size 1, in which z1 is a componentwise quantile-loss proximal step
 and z2 a projection onto the nonnegative orthant.  The theta-update is an
 unconstrained least-squares problem whose 2r x 2r normal matrix is
-Cholesky-factored and inverted once per fit.  Only numpy is needed.
+Cholesky-factored and inverted once per fit.  Both z-steps are one clip
+of a single (2, n + m) array, so an iteration costs three small matrix
+products and a handful of vector operations.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -211,12 +213,11 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     N = problem.N
     AN = problem.A @ N
     GN = problem.G @ N
-    QN = N.T @ problem.Q @ N
-    A = np.kron(np.eye(2), AN)  # both curves at their own levels
+    n, r = AN.shape
+    m = GN.shape[0]
     G = np.hstack([GN, -GN])  # non-crossing rows on theta_up - theta_low
-    p, y, w = problem.p, problem.y, problem.w
 
-    M = 2.0 * problem.lam * np.kron(np.eye(2), QN) + A.T @ A + G.T @ G
+    M = np.kron(np.eye(2), 2.0 * problem.lam * (N.T @ problem.Q @ N) + AN.T @ AN) + G.T @ G
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
@@ -227,28 +228,56 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     L_inv = np.linalg.inv(L)
     M_inv = L_inv.T @ L_inv
 
-    At, Gt = A.T.copy(), G.T.copy()
-    z1 = np.zeros(A.shape[0])
-    z2 = np.zeros(G.shape[0])
-    u1 = np.zeros(A.shape[0])
-    u2 = np.zeros(G.shape[0])
+    # The split rows share one (2, n + m) layout: row 0 holds the upper
+    # curve's n loss rows and then the m non-crossing rows, row 1 the lower
+    # curve's loss rows and m slots that mirror row 0's with the sign of
+    # G's second block.  With E = [AN; GN] and theta as the 2 x r matrix T,
+    # T @ E.T is A theta on the loss rows; row 0's tail minus row 1's tail
+    # is G theta.  The state is W = z - u and C = -u.  On a loss row the
+    # prox step is z = v + clip(y - v, -(1 - p) w, p w) at v = A theta + u;
+    # a non-crossing row has y = 0 and the bounds 0 and +inf, so z is the
+    # projection max(v, 0).  The dual update then leaves u = -clip(...).
+    # in Fortran order both W @ E and T @ E.T read contiguous memory, the
+    # fast layout for these thin BLAS products
+    E = np.asfortranarray(np.vstack([AN, GN]))
+    Et = E.T
+    y = np.zeros((2, n + m))
+    lo = np.zeros((2, n + m))
+    hi = np.zeros((2, n + m))
+    y[:, :n] = problem.y.reshape(2, n)
+    lo[:, :n] = -((1.0 - problem.p) * problem.w).reshape(2, n)
+    hi[:, :n] = (problem.p * problem.w).reshape(2, n)
+    hi[0, n:] = np.inf
+    W = np.zeros((2, n + m))
+    C = np.zeros((2, n + m))
+    v = np.empty((2, n + m))
+    T = np.empty((2, r))
+    B = np.empty((2, r))
+    theta, rhs = T.reshape(-1), B.reshape(-1)
+    g_up, g_low, q_up, q_low = v[0, n:], v[1, n:], W[0, n:], W[1, n:]
 
     for it in range(1, iters + 1):
-        theta = M_inv @ (At @ (z1 - u1) + Gt @ (z2 - u2))
-        if not np.all(np.isfinite(theta)):
-            raise RuntimeError(f"non-finite iterates at iteration {it}")
-        Ac = A @ theta
-        Gc = G @ theta
-        z1_prev, z2_prev = z1, z2
-        z1 = prox_quantile_loss(Ac + u1, p, y, w, 1.0)
-        z2 = project_nonneg(Gc + u2)
-        u1 = u1 + Ac - z1
-        u2 = u2 + Gc - z2
+        if it == iters:
+            W_prev, C_prev = W.copy(), C.copy()
+        np.dot(W, E, out=B)  # A'(z1 - u1) + G'(z2 - u2)
+        np.dot(M_inv, rhs, out=theta)
+        np.dot(T, Et, out=v)
+        g_up -= g_low
+        np.subtract(C, v, out=v)  # -(A theta + u)
+        np.add(y, v, out=C)
+        np.maximum(C, lo, out=C)
+        np.minimum(C, hi, out=C)
+        np.subtract(C, v, out=W)  # z - u = (A theta + u) + 2 clip(...)
+        W += C
+        np.negative(q_up, out=q_low)
 
-    primal = np.sqrt(np.linalg.norm(Ac - z1) ** 2 + np.linalg.norm(Gc - z2) ** 2)
-    dual = np.linalg.norm(At @ (z1 - z1_prev) + Gt @ (z2 - z2_prev))
-    if not (np.isfinite(primal) and np.isfinite(dual)):
-        raise RuntimeError(f"non-finite residuals after {iters} iterations")
+    # primal: A theta - z = u - u_prev; dual: A'(z - z_prev), G rows included
+    primal = np.linalg.norm(C_prev - C)
+    dz = (W - C) - (W_prev - C_prev)
+    dz[1, n:] = -dz[0, n:]
+    dual = np.linalg.norm(dz @ E)
+    if not (np.all(np.isfinite(theta)) and np.isfinite(primal) and np.isfinite(dual)):
+        raise RuntimeError(f"non-finite iterates after {iters} iterations")
 
     theta_up, theta_low = np.split(theta, 2)
     upper, lower = N @ theta_up, N @ theta_low

@@ -177,6 +177,24 @@ def test_fit_rejects_bad_knot_grid_in_one_line(xy_csv, tmp_path, capsys, knots):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--iters", "0", "iteration budget must be at least 1, got 0"),
+    ("--penalty", "0", "penalty strength must be positive, got 0.0"),
+], ids=["iters", "penalty"])
+def test_fit_rejects_bad_solver_settings_before_stage_one(
+    xy_csv, tmp_path, capsys, monkeypatch, flag, value, message
+):
+    def stage_one(*args, **kwargs):
+        raise AssertionError("stage 1 ran")
+
+    monkeypatch.setattr(modalband.pipeline, "run_step1", stage_one)
+    code = main(["fit", "--input", str(xy_csv), "--model", str(tmp_path / "m.json"),
+                 flag, value])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("payload", [
     [],
     {"knots": [0.0, 1.0], "degree": None, "smoothness": 2,
@@ -295,7 +313,9 @@ def test_cv_writes_score_table(xy_csv, tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--iters", "0", "iters must be at least 1, got 0"),
     ("--eta", "0", "eta must be positive, got 0.0"),
-], ids=["iters", "eta"])
+    ("--cap", "0", "cap must be at least 50, got 0"),
+    ("--alpha", "1.5", "coverage level must lie in (0, 1), got 1.5"),
+], ids=["iters", "eta", "cap", "alpha"])
 def test_cv_rejects_bad_solver_settings_before_fitting(
     xy_csv, tmp_path, capsys, recwarn, flag, value, message
 ):
@@ -349,6 +369,15 @@ def test_simulate_rejects_zero_iterations_before_fitting(tmp_path, capsys, recwa
                  "--iters", "0", "--seed", "0", "--out-dir", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err == "error: iterations must be at least 1, got 0\n"
+    assert not recwarn.list  # no replication was run
+    assert not (tmp_path / "replications.csv").exists()
+
+
+def test_simulate_rejects_small_cap_before_fitting(tmp_path, capsys, recwarn):
+    code = main(["simulate", "--dist", "1", "--n", "100", "--reps", "2",
+                 "--cap", "0", "--seed", "0", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: cap must be at least 50, got 0\n"
     assert not recwarn.list  # no replication was run
     assert not (tmp_path / "replications.csv").exists()
 

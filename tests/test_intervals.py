@@ -7,6 +7,9 @@ from scipy.special import ndtri
 from modalband.intervals import (
     ModalInterval,
     QuantileLevelSet,
+    _capped_source,
+    _shortest_indices,
+    _shortest_rows,
     estimate_intervals_at,
     estimate_levels_all,
     mi_quantile_levels,
@@ -254,18 +257,111 @@ def test_estimate_levels_rejects_bad_inputs():
         estimate_levels_all(data, 1.2, 0.5)
     with pytest.raises(ValueError, match="bandwidth"):
         estimate_levels_all(data, 0.5, -0.1)
+    with pytest.raises(ValueError, match="bandwidth must be positive, got nan"):
+        estimate_levels_all(data, 0.5, float("nan"))
 
 
-def test_estimate_intervals_match_direct_composition():
-    data = gen_dist1(150, 6)
-    h = select_bandwidth(data.x)
-    queries = np.linspace(1.0, 9.0, 17)
-    low, up = estimate_intervals_at(data, queries, 0.5, h)
-    for k, x0 in enumerate(queries):
-        mi = shortest_interval(conditional_cdf(x0, data, h), 0.5)
-        assert low[k] == mi.low
-        assert up[k] == mi.up
+def direct_scan(data, queries, alpha, h, cap):
+    """Rows low, up, p_low, p_up from one conditional CDF per query, built
+    on the same capped source draw as the scan."""
+    source = _capped_source(data, cap, 0)
+    rows = []
+    for x0 in queries:
+        ecdf = conditional_cdf(float(x0), source, h)
+        mi = shortest_interval(ecdf, alpha)
+        rows.append((mi.low, mi.up, *mi_quantile_levels(ecdf, mi)))
+    return np.array(rows).T
+
+
+def scan_case(name):
+    """(data, bandwidth, cap, queries) of one oracle input."""
+    rng = np.random.default_rng(12)
+    h, cap, queries = None, 1000, None
+    if name == "dist1":
+        data = gen_dist1(150, 6)
+    elif name.startswith("queries-"):
+        # query counts around the scan's 64-query blocks
+        data = gen_dist1(150, 6)
+        queries = np.linspace(0.5, 9.5, int(name.split("-")[1]))
+    elif name == "tied":
+        data = gen_dist1(300, 7)
+        data = Dataset(data.x, np.round(data.y))
+    elif name == "hourly":
+        x = np.repeat(np.arange(241.0), 2)
+        y = np.exp(1.0 + 0.3 * np.sin(2 * np.pi * x / 24) + 0.4 * rng.normal(size=x.size))
+        data = Dataset(x, y)
+    elif name == "above-cap":
+        data, h, cap = gen_dist1(700, 8), 0.4, 150
+    elif name == "heavy-atom":
+        # 60% of the responses sit on one value, so low levels pick a zero-width interval
+        y = np.where(rng.random(200) < 0.6, 2.0, rng.normal(size=200))
+        data = Dataset(rng.uniform(0.0, 10.0, 200), y)
+    elif name == "equal-weights":
+        # one covariate value: every query weighs all responses alike, and
+        # sums of 1/20 land on either side of alpha by rounding
+        data, h = Dataset(np.full(20, 5.0), np.arange(20.0)), 1.0
+    elif name == "underflow":
+        # at h = 1 every query sees weights below the floor from far covariates
+        data, h = Dataset(rng.uniform(0.0, 100.0, 300), rng.normal(size=300)), 1.0
+    h = select_bandwidth(data.x) if h is None else h
+    return data, h, cap, data.x if queries is None else queries
+
+
+SCAN_CASES = ["dist1", "tied", "hourly", "above-cap", "heavy-atom", "equal-weights",
+              "underflow", "queries-1", "queries-63", "queries-64", "queries-65",
+              "queries-129"]
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("name", SCAN_CASES)
+def test_estimate_intervals_match_direct_composition(name, alpha):
+    data, h, cap, queries = scan_case(name)
+    expected = direct_scan(data, queries, alpha, h, cap)
+    low, up = estimate_intervals_at(data, queries, alpha, h, cap=cap)
+    assert np.array_equal(low, expected[0])
+    assert np.array_equal(up, expected[1])
     assert np.all(up >= low)
+    if queries is data.x:  # levels are produced at the observations only
+        levels = estimate_levels_all(data, alpha, h, cap=cap)
+        assert np.array_equal(levels.p_low, expected[2])
+        assert np.array_equal(levels.p_up, expected[3])
+    if name == "heavy-atom" and alpha == 0.5:
+        assert np.any(low == up)
+
+
+def test_row_search_matches_sweep_at_rounding_edges():
+    # integer weights put interval masses exactly on decimal alphas, and
+    # zero or 1e-17 weights make cum - pw step down by an ulp, where the
+    # sweep keeps j and stops for good once j reaches the end
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        m = int(rng.integers(2, 30))
+        w = rng.integers(0, 6, size=(4, m)).astype(float)
+        tiny = rng.random((4, m)) < 0.2
+        w[tiny] = rng.choice([0.0, 1e-17, 3e-17, 1e-16], size=int(tiny.sum()))
+        w[:, 0] += 1.0
+        pw = w / w.sum(axis=1, keepdims=True)
+        cum = np.cumsum(pw, axis=1)
+        values = np.cumsum(rng.uniform(0.5, 1.5, m))
+        alpha = float(rng.integers(1, 10)) / 10
+        i, j = _shortest_rows(values, cum, pw, alpha)
+        for r in range(4):
+            try:
+                expected = _shortest_indices(values, cum[r], pw[r], alpha)
+            except ValueError:
+                assert j[r] == m
+                continue
+            assert (i[r], j[r]) == expected
+
+
+def test_estimate_intervals_reject_far_and_non_finite_queries():
+    data = gen_dist1(150, 6)
+    with pytest.raises(ValueError, match="no kernel support at x0=1000.0"):
+        estimate_intervals_at(data, [5.0, 1000.0, np.nan], 0.5, 0.3)
+    with pytest.raises(ValueError, match="query point must be finite"):
+        estimate_intervals_at(data, [5.0, np.nan, 1000.0], 0.5, 0.3)
+    with pytest.raises(ValueError, match="query point must be finite"):
+        estimate_intervals_at(data, [np.inf], 0.5, 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from modalband.intervals import estimate_levels_all
 from modalband.kde import (
     Dataset,
     WeightedECDF,
@@ -148,13 +149,17 @@ def test_bandwidth_root_matches_brent_reference(sample, expected):
 
 
 @pytest.mark.parametrize("n", [2, 255, 256, 257, 513])
-@pytest.mark.parametrize("kind", ["normal", "rounded", "replicated"])
+@pytest.mark.parametrize("kind", ["normal", "rounded", "replicated", "edges"])
 def test_pair_counts_match_histogram_of_upper_triangle(n, kind):
     x = np.random.default_rng(n).standard_normal(n)
     if kind == "rounded":
         x = np.round(x, 1)  # ties
     elif kind == "replicated":
         x = (np.arange(1, n + 1) // 2).astype(float)  # 0, 1, 1, 2, 2, ...
+    elif kind == "edges":
+        # a 0.01 grid spanning [0, 10]: the distances fall on bin edges
+        x = np.random.default_rng(n).integers(0, 1001, n) / 100.0
+        x[:2] = 0.0, 10.0
     i, j = np.triu_indices(n, 1)
     span = float(x.max() - x.min())
     expected = np.histogram(np.abs(x[i] - x[j]), bins=1000, range=(0.0, span))[0]
@@ -178,6 +183,10 @@ def test_pairwise_layers_stay_within_memory_bound():
     x = np.random.default_rng(4).uniform(0.0, 10.0, 4000)
     assert traced_peak_bytes(lambda: select_bandwidth(x)) <= 48e6
     assert traced_peak_bytes(lambda: density_weights(Dataset(x, x), 0.3)) <= 48e6
+    # the level scan works on blocks of queries; one n x cap array of
+    # doubles would take 32 MB here
+    data = Dataset(x, np.random.default_rng(5).normal(size=x.size))
+    assert traced_peak_bytes(lambda: estimate_levels_all(data, 0.5, 0.3, cap=1000)) <= 16e6
 
 
 def test_bandwidth_rejects_degenerate_sample():
@@ -298,6 +307,17 @@ def test_density_weights_match_brute_force():
         s = sum(gaussian_kernel((data.x[i] - data.x[l]) / h) for l in range(n))
         expected[i] = (s / (n * h)) ** 0.2
     assert np.allclose(density_weights(data, h), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 513, 700])
+def test_density_weights_match_dense_kernel_sum(n):
+    # row blocks evaluate each pair once and feed both of its rows; these
+    # sizes take one to eight blocks, and the dense n x n kernel matrix is
+    # the reference
+    x = np.random.default_rng(n).uniform(0.0, 10.0, n)
+    h = 0.4
+    dens = gaussian_kernel((x[:, None] - x[None, :]) / h).sum(axis=1) / (n * h)
+    assert np.allclose(density_weights(Dataset(x, x), h), dens**0.2, rtol=1e-13, atol=0.0)
 
 
 def test_density_weights_edge_deficit_on_uniform_grid():

@@ -163,6 +163,8 @@ def test_config_validation():
         SimConfig(dist=1, n=100, alpha=1.0)
     with pytest.raises(ValueError, match="test_size"):
         SimConfig(dist=1, n=100, test_size=5)
+    with pytest.raises(ValueError, match="cap must be at least 50, got 10"):
+        SimConfig(dist=1, n=100, cap=10)
     with pytest.raises(ValueError, match="workers must be positive"):
         SimConfig(dist=1, n=100, workers=0)
 
@@ -212,11 +214,14 @@ def test_replication_failure_is_skipped_with_warning(monkeypatch):
     assert sorted(r.rep for r in results) == [r for r in range(12) if r != 3]
 
 
-def test_too_many_failures_abort():
-    config = tiny_config(cap=10)  # propagates to the subsample guard
+def test_too_many_failures_abort(monkeypatch):
+    def failing_stage_one(*args, **kwargs):
+        raise ValueError("stage 1 failed")
+
+    monkeypatch.setattr(simulate, "run_step1", failing_stage_one)
     with pytest.warns(RuntimeWarning, match="failed"):
         with pytest.raises(RuntimeError, match="1 of 1 replications failed"):
-            run_replications(config)
+            run_replications(tiny_config())
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,8 @@ def test_admm_rejects_bad_budget():
 
 def kkt_admm_reference(problem, iters):
     """ADMM at step size 1 over all 2m coefficients, continuity carried as
-    KKT equality rows."""
+    KKT equality rows; returns the coefficients and the last iterate's
+    primal and dual residual norms, the dual one in null-space coordinates."""
     H_single = continuity_matrix(problem.basis)
     A = block_diag(problem.A, problem.A)
     Q = block_diag(problem.Q, problem.Q)
@@ -307,11 +308,15 @@ def kkt_admm_reference(problem, iters):
         rhs = np.concatenate([A.T @ (z1 - u1) + G.T @ (z2 - u2), np.zeros(nH)])
         c = lu_solve(lu, rhs)[:m2]
         Ac, Gc = A @ c, G @ c
+        z1_prev, z2_prev = z1, z2
         z1 = prox_quantile_loss(Ac + u1, problem.p, problem.y, problem.w, 1.0)
         z2 = project_nonneg(Gc + u2)
         u1 = u1 + Ac - z1
         u2 = u2 + Gc - z2
-    return c
+    primal = np.hypot(np.linalg.norm(Ac - z1), np.linalg.norm(Gc - z2))
+    N = block_diag(problem.N, problem.N)
+    dual = np.linalg.norm(N.T @ (A.T @ (z1 - z1_prev) + G.T @ (z2 - z2_prev)))
+    return c, primal, dual
 
 
 def test_null_space_admm_matches_kkt_form():
@@ -325,8 +330,11 @@ def test_null_space_admm_matches_kkt_form():
     problem = assemble(data, levels, rng.uniform(0.5, 2.0, n), basis, lam=1e-2)
     band = admm_fit(problem, iters=300)
     assert band.iterations == 300
-    reference = kkt_admm_reference(problem, 300)
+    reference, primal, dual = kkt_admm_reference(problem, 300)
     assert np.max(np.abs(np.concatenate([band.upper, band.lower]) - reference)) <= 1e-9
+    # the non-crossing rows are active here, so both residuals include them
+    assert band.primal_residual == pytest.approx(primal, rel=1e-8)
+    assert band.dual_residual == pytest.approx(dual, rel=1e-8)
 
     H = continuity_matrix(basis)
     for budget in (1, 2):
