@@ -20,7 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .kde import WEIGHT_FLOOR, Dataset, WeightedECDF, _find_root, gaussian_kernel
+from .kde import WEIGHT_FLOOR, Dataset, WeightedECDF, _check_bandwidth, _find_root, gaussian_kernel
 
 __all__ = [
     "ModalInterval",
@@ -205,8 +205,7 @@ def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, 
     for one query, so the levels are the same to the last bit.
     """
     _check_alpha(alpha)
-    if not h > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    _check_bandwidth(h)
     source = _capped_source(data, cap, rng)
     values, inverse = np.unique(source.y, return_inverse=True)
     m = values.size

@@ -9,6 +9,11 @@ Conventions:
 The conditional CDF of Y given X = x0 is the kernel-weighted empirical
 distribution of the responses: each observation y_i carries weight
 K((x_i - x0)/h), and the weights are normalized to sum to one.
+
+The bandwidth's pilot functionals use an exact histogram of all pairwise
+distances, O(n^2).  The density weights f_hat(x_i)^(1/5) are linearly
+binned on an h/32 grid and convolved by FFT, O(n log n), within 5e-5
+(relative) of the exact pair sum.
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ WEIGHT_FLOOR = 1e-300
 
 _PAIR_CHUNK = 1 << 16  # pairs per block of rows: the block's temporaries stay in cache
 _PAIR_BINS = 1000   # resolution of the pairwise-distance histogram
+
+# density-weight grid: h/32 steps, kernel cut at 12h = 384 steps, where a
+# term is below exp(-72) of the self term
+_GRID_PER_H = 32
+_REACH = 12 * _GRID_PER_H
 
 
 @dataclass(frozen=True)
@@ -288,6 +298,12 @@ def select_bandwidth(x) -> float:
 # Conditional distribution and observation weights
 # ---------------------------------------------------------------------------
 
+def _check_bandwidth(h: float) -> None:
+    """Refuse a bandwidth that is not a positive finite number."""
+    if not 0.0 < h < np.inf:  # False for NaN
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
+
+
 def conditional_cdf(x0: float, data: Dataset, h: float) -> WeightedECDF:
     """Kernel-weighted empirical distribution of Y at the covariate value x0.
 
@@ -305,8 +321,7 @@ def conditional_cdf(x0: float, data: Dataset, h: float) -> WeightedECDF:
     WeightedECDF
         Conditional step distribution of the responses at x0.
     """
-    if h <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    _check_bandwidth(h)
     if not np.isfinite(x0):
         raise ValueError("query point must be finite")
     w = gaussian_kernel((data.x - x0) / h)
@@ -323,24 +338,39 @@ def density_weights(data: Dataset, h: float, exponent: float = 0.2) -> np.ndarra
 
     Points in dense covariate regions receive larger weights; the power
     transform (default 1/5) compresses the dynamic range.
+
+    The density is linearly binned on a grid of step h/32, convolved with
+    the kernel sampled out to 12h, and read back at each x_i with the same
+    two linear weights.  Gaps wider than the kernel reach are shrunk by a
+    whole number of steps first, so the grid has at most about 390 points
+    per observation whatever the covariate span.
     """
-    if h <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    _check_bandwidth(h)
     x = data.x
     n = x.size
-    scale = -0.5 / (h * h)
-    dens = np.zeros(n, dtype=float)
-    rows = max(1, _PAIR_CHUNK // n)
-    for start in range(0, n, rows):
-        stop = start + rows
-        # rows start:stop against columns start:, so the symmetric kernel is
-        # evaluated once per pair: the square block feeds its own rows, the
-        # columns past it feed both their rows and the block's
-        k = x[start:stop, None] - x[None, start:]
-        k *= k
-        k *= scale
-        np.exp(k, out=k)
-        dens[start:stop] += k.sum(axis=1)
-        dens[stop:] += k[:, stop - start:].sum(axis=0)
+    order = np.argsort(x)
+    t = x[order]
+    t -= t[0]
+    t /= h / _GRID_PER_H  # grid coordinates; sorted, starting at 0
+    # shrink each gap wider than reach + 3 steps to just under that: the
+    # grid points on its two sides stay more than the reach apart, so the
+    # cut kernel joins none of them, as it would not have before
+    cut = np.maximum(np.floor(np.diff(t)) - (_REACH + 2), 0.0)
+    t[1:] -= np.cumsum(cut)
+    k = t.astype(np.intp)
+    frac = t - k
+    size = int(k[-1]) + 2
+    counts = (np.bincount(k, 1.0 - frac, minlength=size)
+              + np.bincount(k + 1, frac, minlength=size))
+    # circular convolution: a length of at least size + reach keeps the
+    # wrapped terms off every grid point that is read back
+    length = 1 << (size + _REACH - 1).bit_length()
+    lag = np.arange(_REACH + 1) / _GRID_PER_H
+    kernel = np.zeros(length)
+    kernel[:_REACH + 1] = np.exp(-0.5 * lag * lag)
+    kernel[length - _REACH:] = kernel[_REACH:0:-1]
+    grid = np.fft.irfft(np.fft.rfft(counts, length) * np.fft.rfft(kernel), length)
+    dens = np.empty(n)
+    dens[order] = (1.0 - frac) * grid[k] + frac * grid[k + 1]
     dens /= n * h * _SQRT_2PI
     return dens**exponent

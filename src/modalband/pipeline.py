@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import QuantileLevelSet, estimate_levels_all
-from .kde import Dataset, density_weights, select_bandwidth
+from .kde import Dataset, _check_bandwidth, density_weights, select_bandwidth
 from .solver import FittedBand, admm_fit, assemble
 from .spline import SplineBasis
 
@@ -70,8 +70,7 @@ def run_step1(
         Kernel bandwidth; selected by the plug-in rule when omitted.
     """
     h = select_bandwidth(data.x) if bandwidth is None else float(bandwidth)
-    if h <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    _check_bandwidth(h)
     levels = estimate_levels_all(data, alpha, h, cap=cap, rng=rng)
     weights = density_weights(data, h)
     return Step1Result(bandwidth=h, levels=levels, weights=weights)
