@@ -126,9 +126,13 @@ def _write_band_csv(path: str, band, grid: np.ndarray) -> None:
     write_csv(path, "x,lower,upper,midpoint", zip(grid, lower, upper, mid))
 
 
-def _band_grid(lo: float, hi: float, points: int) -> np.ndarray:
+def _check_grid_points(points: int) -> None:
     if points < 2:
         raise CliError(f"--grid-points must be at least 2, got {points}")
+
+
+def _band_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    _check_grid_points(points)
     if not lo < hi:
         raise CliError(f"empty evaluation range [{lo}, {hi}]")
     return np.linspace(lo, hi, points)
@@ -142,6 +146,8 @@ def _cmd_fit(args) -> int:
     data = _load_dataset(args.input)
     if (args.knot_min is None) != (args.knot_max is None):
         raise CliError("--knot-min and --knot-max must be given together")
+    if args.band is not None:
+        _check_grid_points(args.grid_points)  # before the fit, so no model is left
     try:
         basis = None
         if args.knot_min is not None:

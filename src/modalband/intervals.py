@@ -20,7 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .kde import WEIGHT_FLOOR, Dataset, WeightedECDF, _check_bandwidth, _find_root, gaussian_kernel
+from .kde import _SQRT_2PI, WEIGHT_FLOOR, Dataset, WeightedECDF, _check_bandwidth, _find_root
 
 __all__ = [
     "ModalInterval",
@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 _QUERY_BLOCK = 64  # queries per kernel block of the level scan
+
+# Kernel exponents below this give weights under WEIGHT_FLOOR / e, which the
+# floor zeroes anyway; clamping them there keeps np.exp out of the subnormal
+# range, where it leaves its fast vector path.
+_MIN_EXPONENT = float(np.log(WEIGHT_FLOOR * _SQRT_2PI)) - 1.0
 
 
 @dataclass(frozen=True)
@@ -112,15 +117,20 @@ def shortest_interval(ecdf: WeightedECDF, alpha: float) -> ModalInterval:
     return ModalInterval(float(ecdf.values[i]), float(ecdf.values[j]), alpha)
 
 
-def _levels_at_indices(cum, pw, i, j):
+def _levels_at_indices(cum, pw, i, j, spare=None, positive=None):
     """Quantile levels of interval endpoints, clamped away from {0, 1}.
 
     One distribution per row of ``cum``/``pw``, one index pair per entry
-    of ``i``/``j``.
+    of ``i``/``j``.  ``spare`` (float) and ``positive`` (bool), shaped like
+    ``pw``, are work arrays; they are allocated when not given.
     """
+    spare = np.empty_like(pw) if spare is None else spare
+    positive = np.greater(pw, 0.0, out=positive)
+    spare.fill(np.inf)
+    np.copyto(spare, pw, where=positive)
     # half the smallest positive weight, floored so 1 - eps < 1 holds in
     # float64 even when far-tail kernel weights underflow
-    smallest = np.min(pw, axis=1, initial=np.inf, where=pw > 0.0)
+    smallest = spare.min(axis=1)
     eps = np.maximum(0.5 * smallest, np.finfo(float).eps)
     rows = np.arange(cum.shape[0])
     p_up = np.minimum(cum[rows, j], 1.0 - eps)
@@ -167,30 +177,83 @@ def _capped_source(data: Dataset, cap: int, rng) -> Dataset:
     return Dataset(data.x[keep], data.y[keep])
 
 
+class _Block:
+    """Work arrays of the level scan, allocated once per scan.
+
+    They hold ``rows`` queries against ``n`` source points with ``m``
+    distinct responses; :meth:`head` views the first rows of each, for a
+    short last block.  Every block writes into them with ``out=``, so the
+    scan does not return 64 x m temporaries to the allocator per block.
+    """
+
+    def __init__(self, rows: int, n: int, m: int):
+        self.u = np.empty((rows, n))             # scaled source-query distances
+        self.w = np.empty((rows, n))             # kernel exponents, then weights
+        self.floored = np.empty((rows, n), bool)  # weights under WEIGHT_FLOOR
+        self.pw = np.empty((rows, m))
+        # each row holds [-inf, cum, inf], so a search index k reads cum[k]
+        # at k + 1 and both neighbours exist
+        self.edged = np.full((rows, m + 2), np.inf)
+        self.edged[:, 0] = -np.inf
+        self.below = np.empty((rows, m))
+        self.spare = np.empty((rows, m))         # targets, checked masses, widths
+        self.first = np.empty((rows, m), np.intp)
+        self.at = np.empty((rows, m), np.intp)   # gather indices, then j
+        self.wrong = np.empty((rows, m), bool)
+        self.mask = np.empty((rows, m), bool)
+        self.offset = ((m + 2) * np.arange(rows) + 1)[:, None]  # row starts in edged
+
+    def head(self, rows: int) -> "_Block":
+        view = object.__new__(_Block)
+        view.__dict__ = {name: a[:rows] for name, a in self.__dict__.items()}
+        return view
+
+
 def _shortest_rows(values, cum, pw, alpha):
     """The pair (i, j) of :func:`_shortest_indices` for every row of cum/pw.
 
     Rows are distributions on the same support ``values``; j is
     ``values.size`` in a row where no interval reaches alpha.
     """
-    rows, m = cum.shape
-    below = cum - pw  # mass left of each candidate low end
-    first = np.empty((rows, m), dtype=np.intp)
+    block = _Block(cum.shape[0], 0, values.size)
+    block.edged[:, 1:-1] = cum
+    block.pw[...] = pw
+    return _shortest_in_block(values, block, alpha)
+
+
+def _shortest_in_block(values, b: _Block, alpha):
+    """:func:`_shortest_rows` on the rows of ``b.edged`` and ``b.pw``."""
+    rows, m = b.pw.shape
+    cum = b.edged[:, 1:-1]
+    np.subtract(cum, b.pw, out=b.below)  # mass left of each candidate low end
+    np.add(b.below, alpha, out=b.spare)
     for r in range(rows):
-        first[r] = np.searchsorted(cum[r], below[r] + alpha)
+        b.first[r] = cum[r].searchsorted(b.spare[r])
     # rounding can make cum[j] >= below + alpha disagree with the sweep's
     # closed-mass test cum[j] - below >= alpha, so check the test on both
     # sides of each j (with cum[-1] = -inf and cum[m] = inf) and redo the
     # entries that fail it
-    edged = np.pad(cum, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf)).ravel()
-    at = first + ((m + 2) * np.arange(rows) + 1)[:, None]
-    wrong = (edged[at] - below < alpha) | (edged[at - 1] - below >= alpha)
-    for r, k in zip(*np.nonzero(wrong)):
-        first[r, k] = np.searchsorted(cum[r] - below[r, k], alpha)
+    # every take uses mode="clip" (the indices are in range): under the
+    # default mode, take writes through a temporary copy of out
+    edged = b.edged.reshape(-1)
+    np.add(b.first, b.offset, out=b.at)
+    np.take(edged, b.at, out=b.spare, mode="clip")
+    np.subtract(b.spare, b.below, out=b.spare)
+    np.less(b.spare, alpha, out=b.wrong)
+    np.subtract(b.at, 1, out=b.at)
+    np.take(edged, b.at, out=b.spare, mode="clip")
+    np.subtract(b.spare, b.below, out=b.spare)
+    np.greater_equal(b.spare, alpha, out=b.mask)
+    np.logical_or(b.wrong, b.mask, out=b.wrong)
+    if b.wrong.any():  # rare, and a 2-d nonzero costs more than the check
+        for r, k in zip(*np.nonzero(b.wrong)):
+            b.first[r, k] = np.searchsorted(cum[r] - b.below[r, k], alpha)
     # the sweep never moves j left of i or of the previous j, and stops
     # once j reaches m
-    j = np.maximum.accumulate(np.maximum(first, np.arange(m)), axis=1)
-    width = np.append(values, np.inf)[j] - values
+    np.maximum(b.first, np.arange(m), out=b.first)
+    j = np.maximum.accumulate(b.first, axis=1, out=b.at)
+    width = np.take(np.append(values, np.inf), j, out=b.spare, mode="clip")
+    np.subtract(width, values, out=width)
     i = np.argmin(width, axis=1)  # leftmost of equal widths
     return i, j[np.arange(rows), i]
 
@@ -209,20 +272,31 @@ def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, 
     source = _capped_source(data, cap, rng)
     values, inverse = np.unique(source.y, return_inverse=True)
     m = values.size
+    full = _Block(min(_QUERY_BLOCK, queries.size), source.x.size, m)
     # row r of a block pools its weights into bins r*m to r*m + m - 1
-    bins = inverse + m * np.arange(_QUERY_BLOCK)[:, None]
+    bins = inverse + m * np.arange(full.pw.shape[0])[:, None]
     out = np.empty((4, queries.size))
     for start in range(0, queries.size, _QUERY_BLOCK):
         x0 = queries[start:start + _QUERY_BLOCK]
         rows = x0.size
-        w = gaussian_kernel((source.x[None, :] - x0[:, None]) / h)
-        w[w < WEIGHT_FLOOR] = 0.0
-        total = w.sum(axis=1)
+        b = full if rows == full.pw.shape[0] else full.head(rows)
+        # gaussian_kernel((source.x - x0) / h), floored at WEIGHT_FLOOR
+        np.subtract(source.x, x0[:, None], out=b.u)
+        np.divide(b.u, h, out=b.u)
+        np.multiply(b.u, -0.5, out=b.w)
+        np.multiply(b.w, b.u, out=b.w)
+        np.maximum(b.w, _MIN_EXPONENT, out=b.w)
+        np.exp(b.w, out=b.w)
+        np.divide(b.w, _SQRT_2PI, out=b.w)
+        np.less(b.w, WEIGHT_FLOOR, out=b.floored)
+        np.copyto(b.w, 0.0, where=b.floored)
+        total = b.w.sum(axis=1)
         supported = total > 0.0  # the total is NaN for a NaN query
-        pw = np.bincount(bins[:rows].ravel(), weights=w.ravel(), minlength=rows * m)
-        pw = pw.reshape(rows, m) / np.where(supported, total, 1.0)[:, None]
-        cum = np.cumsum(pw, axis=1)
-        i, j = _shortest_rows(values, cum, pw, alpha)
+        # np.bincount, not np.add.at into b.pw: add.at is slow before numpy 1.25
+        pooled = np.bincount(bins[:rows].ravel(), weights=b.w.ravel(), minlength=rows * m)
+        np.divide(pooled.reshape(rows, m), np.where(supported, total, 1.0)[:, None], out=b.pw)
+        cum = np.cumsum(b.pw, axis=1, out=b.edged[:, 1:-1])
+        i, j = _shortest_in_block(values, b, alpha)
         failed = ~supported | (j == m)
         if failed.any():
             q = int(np.argmax(failed))
@@ -235,7 +309,7 @@ def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, 
                 )
             raise ValueError(f"no interval reaches coverage {alpha}")
         block = slice(start, start + rows)
-        out[2, block], out[3, block] = _levels_at_indices(cum, pw, i, j)
+        out[2, block], out[3, block] = _levels_at_indices(cum, b.pw, i, j, b.spare, b.mask)
         out[0, block], out[1, block] = values[i], values[j]
     return out
 
@@ -276,8 +350,12 @@ def estimate_intervals_at(
 
     Returns (low, up) arrays aligned with ``queries``.  This is the direct
     kernel-CDF interval estimate, with no smoothing stage on top.
+    ``queries`` is a scalar or a 1-d array.
     """
-    queries = np.atleast_1d(np.asarray(queries, dtype=float))
+    queries = np.asarray(queries, dtype=float)
+    if queries.ndim > 1:
+        raise ValueError(f"queries must be a scalar or a 1-d array, got shape {queries.shape}")
+    queries = np.atleast_1d(queries)
     low, up, _, _ = _scan(data, queries, alpha, h, cap, rng)
     return low, up
 

@@ -195,6 +195,19 @@ def test_fit_rejects_bad_solver_settings_before_stage_one(
     assert not (tmp_path / "m.json").exists()
 
 
+def test_fit_rejects_bad_grid_points_before_stage_one(xy_csv, tmp_path, capsys, monkeypatch):
+    def stage_one(*args, **kwargs):
+        raise AssertionError("stage 1 ran")
+
+    monkeypatch.setattr(modalband.pipeline, "run_step1", stage_one)
+    code = main(["fit", "--input", str(xy_csv), "--model", str(tmp_path / "m.json"),
+                 "--band", str(tmp_path / "b.csv"), "--grid-points", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --grid-points must be at least 2, got 1\n"
+    assert not (tmp_path / "m.json").exists()
+    assert not (tmp_path / "b.csv").exists()
+
+
 @pytest.mark.parametrize("payload", [
     [],
     {"knots": [0.0, 1.0], "degree": None, "smoothness": 2,

@@ -1,9 +1,15 @@
 """Shortest intervals, quantile-level conversion, and exact-interval oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import modalband
 from modalband.intervals import (
+    _MIN_EXPONENT,
     ModalInterval,
     QuantileLevelSet,
     _capped_source,
@@ -16,7 +22,7 @@ from modalband.intervals import (
     true_mi_lognormal,
     true_mi_normal,
 )
-from modalband.kde import Dataset, WeightedECDF, conditional_cdf, select_bandwidth
+from modalband.kde import WEIGHT_FLOOR, Dataset, WeightedECDF, conditional_cdf, select_bandwidth
 from modalband.simulate import gen_dist1
 
 Z75 = 0.6744897501960817  # standard normal quantile at 0.75
@@ -363,6 +369,49 @@ def test_estimate_intervals_reject_far_and_non_finite_queries():
         estimate_intervals_at(data, [5.0, np.nan, 1000.0], 0.5, 0.3)
     with pytest.raises(ValueError, match="query point must be finite"):
         estimate_intervals_at(data, [np.inf], 0.5, 0.3)
+
+
+def test_estimate_intervals_take_scalar_empty_and_1d_queries_only():
+    data = gen_dist1(150, 6)
+    low, up = estimate_intervals_at(data, [], 0.5, 0.3)
+    assert low.shape == up.shape == (0,)
+    low, up = estimate_intervals_at(data, 5.0, 0.5, 0.3)
+    assert low.shape == up.shape == (1,)
+    with pytest.raises(ValueError, match=r"scalar or a 1-d array, got shape \(2, 2\)"):
+        estimate_intervals_at(data, np.array([[0.2, 0.3], [0.4, 0.5]]), 0.5, 0.1)
+
+
+def test_exponent_clamp_lands_under_the_weight_floor():
+    # a clamped exponent must still give a weight the floor zeroes, and
+    # np.exp of it must not be subnormal
+    assert np.exp(_MIN_EXPONENT) / np.sqrt(2.0 * np.pi) < WEIGHT_FLOOR
+    assert np.exp(_MIN_EXPONENT) >= np.finfo(float).tiny
+
+
+_SCAN_FAULTS = """
+import resource
+from modalband.intervals import estimate_levels_all
+from modalband.simulate import gen_dist1
+
+data = gen_dist1(10_000, 1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+estimate_levels_all(data, 0.5, 0.3, cap=1000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+def test_level_scan_reuses_its_block_buffers():
+    # the bound sits between a scan that reuses its block arrays (~2 200
+    # faults) and one that allocates 64 x cap temporaries per block, which
+    # the allocator hands back to the OS (~121 000)
+    src = os.path.dirname(os.path.dirname(modalband.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _SCAN_FAULTS], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) <= 10_000
 
 
 # ---------------------------------------------------------------------------
