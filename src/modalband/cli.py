@@ -32,24 +32,9 @@ from .spline import SplineBasis
 
 __all__ = ["main"]
 
-WORKERS_ENV = "MODALBAND_WORKERS"
-
 
 class CliError(Exception):
     """User-facing failure: message is printed as a single stderr line."""
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise CliError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise CliError(f"{WORKERS_ENV} must be positive, got {workers}")
-    return workers
 
 
 def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
@@ -228,7 +213,6 @@ def _cmd_simulate(args) -> int:
             test_size=args.test_size,
             iterations=args.iters,
             include_raw_kde=not args.no_raw_kde,
-            workers=_workers_from_env(),
         )
         results = run_replications(config)
     except (ValueError, RuntimeError) as exc:
@@ -379,6 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # fit, cv and simulate hand the seed to numpy, which refuses a negative one
+        if getattr(args, "seed", 0) < 0:
+            raise CliError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

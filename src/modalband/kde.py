@@ -333,11 +333,11 @@ def conditional_cdf(x0: float, data: Dataset, h: float) -> WeightedECDF:
     return WeightedECDF.from_samples(data.y, w)
 
 
-def density_weights(data: Dataset, h: float, exponent: float = 0.2) -> np.ndarray:
-    """Observation weights w_i = f_hat(x_i)^exponent from the covariate KDE.
+def density_weights(data: Dataset, h: float) -> np.ndarray:
+    """Observation weights w_i = f_hat(x_i)^(1/5) from the covariate KDE.
 
     Points in dense covariate regions receive larger weights; the power
-    transform (default 1/5) compresses the dynamic range.
+    1/5 compresses the dynamic range.
 
     The density is linearly binned on a grid of step h/32, convolved with
     the kernel sampled out to 12h, and read back at each x_i with the same
@@ -373,4 +373,4 @@ def density_weights(data: Dataset, h: float, exponent: float = 0.2) -> np.ndarra
     dens = np.empty(n)
     dens[order] = (1.0 - frac) * grid[k] + frac * grid[k + 1]
     dens /= n * h * _SQRT_2PI
-    return dens**exponent
+    return dens**0.2

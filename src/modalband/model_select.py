@@ -15,7 +15,7 @@ import numpy as np
 from .intervals import _check_alpha, _check_cap
 from .kde import Dataset
 from .pipeline import run_step1, run_step2
-from .solver import FittedBand
+from .solver import FittedBand, _check_iters, _check_penalty_grid
 from .spline import SplineBasis
 
 __all__ = [
@@ -40,6 +40,11 @@ class BandMetrics:
     n_outside: int     # test points dropped for lying outside it
 
 
+def _check_eta(eta: float) -> None:
+    if not eta > 0.0:  # False for NaN
+        raise ValueError(f"eta must be positive, got {eta}")
+
+
 def mcwc_score(nmmiw: float, micp: float, alpha: float, eta: float = 20.0) -> float:
     """Coverage-penalized width: nmmiw, inflated by exp(-eta*(micp - alpha))
     when coverage misses the target."""
@@ -57,8 +62,7 @@ def band_metrics(
     The response range used for normalization is taken over the retained
     test points and must be positive.
     """
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _check_eta(eta)
     lo, hi = band.basis.knots[0], band.basis.knots[-1]
     inside = (test.x >= lo) & (test.x <= hi)
     n_outside = int((~inside).sum())
@@ -125,7 +129,6 @@ def select_lambda_cv(
     eta: float = 20.0,
     seed: int = 0,
     *,
-    basis: SplineBasis | None = None,
     segments: int = 20,
     degree: int = 3,
     smoothness: int = 2,
@@ -144,7 +147,7 @@ def select_lambda_cv(
     data : Dataset
         Full sample; needs at least 20 points per fold.
     grid : sequence of float
-        Candidate penalty values, all positive.
+        Candidate penalty values, all positive and finite.
     folds : int
         Number of folds, at least 2.
     alpha, eta : float
@@ -157,24 +160,20 @@ def select_lambda_cv(
         ADMM iterations per fold fit, at least 1.
     """
     grid = np.asarray(list(grid), dtype=float)
-    if grid.size == 0 or np.any(grid <= 0.0):
-        raise ValueError("penalty grid must be nonempty and positive")
+    _check_penalty_grid(grid)
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _check_iters(iters)
+    _check_eta(eta)
     _check_alpha(alpha)
     _check_cap(cap)
     n = len(data)
     if n < 20 * folds:
         raise ValueError(f"need at least {20 * folds} points for {folds} folds, got {n}")
 
-    if basis is None:
-        basis = SplineBasis.uniform(
-            float(data.x.min()), float(data.x.max()), segments, degree, smoothness
-        )
+    basis = SplineBasis.uniform(
+        float(data.x.min()), float(data.x.max()), segments, degree, smoothness
+    )
 
     order = np.random.default_rng(seed).permutation(n)
     parts = np.array_split(order, folds)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import QuantileLevelSet, estimate_levels_all
-from .kde import Dataset, _check_bandwidth, density_weights, select_bandwidth
-from .solver import FittedBand, admm_fit, assemble
+from .kde import Dataset, density_weights, select_bandwidth
+from .solver import FittedBand, _check_iters, _check_penalty, admm_fit, assemble
 from .spline import SplineBasis
 
 __all__ = [
@@ -42,15 +42,8 @@ class Step1Result:
     weights: np.ndarray
 
 
-def run_step1(
-    data: Dataset,
-    alpha: float = 0.5,
-    *,
-    cap: int = 1000,
-    rng=0,
-    bandwidth: float | None = None,
-) -> Step1Result:
-    """Interval levels and weights for every observation.
+def run_step1(data: Dataset, alpha: float = 0.5, *, cap: int = 1000, rng=0) -> Step1Result:
+    """Plug-in bandwidth, interval levels and weights for every observation.
 
     The observation weights are the covariate density at each x_i raised
     to the power 1/5.
@@ -66,11 +59,8 @@ def run_step1(
         it a seeded subsample is used.
     rng : int, sequence of ints, or numpy Generator
         Seed for the subsample draw.
-    bandwidth : float, optional
-        Kernel bandwidth; selected by the plug-in rule when omitted.
     """
-    h = select_bandwidth(data.x) if bandwidth is None else float(bandwidth)
-    _check_bandwidth(h)
+    h = select_bandwidth(data.x)
     levels = estimate_levels_all(data, alpha, h, cap=cap, rng=rng)
     weights = density_weights(data, h)
     return Step1Result(bandwidth=h, levels=levels, weights=weights)
@@ -100,7 +90,6 @@ def fit_band(
     smoothness: int = 2,
     cap: int = 1000,
     rng=0,
-    bandwidth: float | None = None,
     iters: int = 1000,
 ):
     """Full two-stage fit; returns (band, step1).
@@ -109,15 +98,13 @@ def fit_band(
     count is placed over the covariate range.  The solver settings are
     checked before stage 1 runs.
     """
-    if iters < 1:
-        raise ValueError(f"iteration budget must be at least 1, got {iters}")
-    if not lam > 0.0:
-        raise ValueError(f"penalty strength must be positive, got {lam}")
+    _check_iters(iters)
+    _check_penalty(lam)
     if basis is None:
         basis = SplineBasis.uniform(
             float(data.x.min()), float(data.x.max()), segments, degree, smoothness
         )
-    step1 = run_step1(data, alpha, cap=cap, rng=rng, bandwidth=bandwidth)
+    step1 = run_step1(data, alpha, cap=cap, rng=rng)
     band = run_step2(data, step1, basis, lam, iters=iters)
     return band, step1
 

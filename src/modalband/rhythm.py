@@ -101,8 +101,8 @@ def detect_rhythms(curve, window: float = DEFAULT_WINDOW,
     x, v = arr[:, 0], arr[:, 1]
     if np.any(np.diff(x) <= 0.0):
         raise ValueError("curve x values must be strictly increasing")
-    if window <= 0.0:
-        raise ValueError(f"window must be positive, got {window}")
+    if not 0.0 < window < np.inf:  # False for NaN
+        raise ValueError(f"window must be positive and finite, got {window}")
     classify_ratio(0.0, thresholds)  # validates the thresholds
 
     minima = _strict_local_minima(v)

@@ -19,15 +19,21 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .intervals import _check_cap, estimate_intervals_at, true_mi_lognormal, true_mi_normal
+from .intervals import (
+    _check_alpha,
+    _check_cap,
+    estimate_intervals_at,
+    true_mi_lognormal,
+    true_mi_normal,
+)
 from .kde import Dataset
 from .model_select import band_metrics, rmse_bounds
 from .pipeline import run_step1, run_step2, write_csv
+from .solver import _check_iters, _check_penalty_grid
 from .spline import SplineBasis
 
 __all__ = [
@@ -137,7 +143,6 @@ class SimConfig:
     segments: int = 20
     iterations: int = 1000
     include_raw_kde: bool = True
-    workers: int = 1
 
     def __post_init__(self):
         if self.dist not in (1, 2):
@@ -146,17 +151,12 @@ class SimConfig:
             raise ValueError(f"n must be at least 10, got {self.n}")
         if self.replications < 1:
             raise ValueError(f"replications must be positive, got {self.replications}")
-        if len(self.lambdas) == 0 or any(l <= 0.0 for l in self.lambdas):
-            raise ValueError("penalty grid must be nonempty and positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_penalty_grid(self.lambdas)
+        _check_alpha(self.alpha)
         _check_cap(self.cap)
         if self.test_size < 10:
             raise ValueError(f"test_size must be at least 10, got {self.test_size}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
+        _check_iters(self.iterations)
         object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
 
 
@@ -261,31 +261,20 @@ def _run_one_rep(config: SimConfig, rep: int, truth: np.ndarray) -> list[RepResu
 
 
 def run_replications(config: SimConfig) -> list[RepResult]:
-    """Run all replications, sequentially or across processes.
+    """Run all replications in order.
 
-    Replications are independent given the derived seed streams, so results
-    do not depend on the worker count.  A failing replication is recorded
+    Each replication draws from its own derived seed streams, so its
+    results do not depend on the others.  A failing replication is recorded
     and skipped; more than 10% failures aborts the experiment.
     """
     truth = true_band(config.dist, config.alpha, default_truth_grid())
-    reps = range(config.replications)
     results: list[RepResult] = []
     failures: list[tuple[int, str]] = []
-
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {rep: pool.submit(_run_one_rep, config, rep, truth) for rep in reps}
-            for rep in reps:
-                try:
-                    results.extend(futures[rep].result())
-                except Exception as exc:  # noqa: BLE001 - collected, bounded below
-                    failures.append((rep, str(exc)))
-    else:
-        for rep in reps:
-            try:
-                results.extend(_run_one_rep(config, rep, truth))
-            except Exception as exc:  # noqa: BLE001
-                failures.append((rep, str(exc)))
+    for rep in range(config.replications):
+        try:
+            results.extend(_run_one_rep(config, rep, truth))
+        except Exception as exc:  # noqa: BLE001 - collected, bounded below
+            failures.append((rep, str(exc)))
 
     for rep, message in failures:
         warnings.warn(

@@ -94,8 +94,25 @@ class FittedBand:
     def midpoint_at(self, x):
         return 0.5 * (self.upper_at(x) + self.lower_at(x))
 
-    def width_at(self, x):
-        return self.upper_at(x) - self.lower_at(x)
+
+def _check_penalty(lam: float) -> None:
+    """Refuse a penalty strength that is not a positive finite number."""
+    if not 0.0 < lam < np.inf:  # False for NaN
+        raise ValueError(f"penalty strength must be positive and finite, got {lam}")
+
+
+def _check_penalty_grid(grid) -> None:
+    """Refuse an empty grid or any value :func:`_check_penalty` refuses."""
+    if len(grid) == 0:
+        raise ValueError("penalty grid must be nonempty")
+    for lam in grid:
+        _check_penalty(lam)
+
+
+def _check_iters(iters: int) -> None:
+    """Refuse an iteration budget below one."""
+    if iters < 1:
+        raise ValueError(f"iteration budget must be at least 1, got {iters}")
 
 
 def assemble(
@@ -119,8 +136,7 @@ def assemble(
         raise ValueError(f"weight shape {weights.shape} does not match n={n}")
     if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
         raise ValueError("weights must be positive and finite")
-    if lam <= 0.0:
-        raise ValueError(f"penalty strength must be positive, got {lam}")
+    _check_penalty(lam)
 
     A = design_matrix(data.x, basis)  # raises when x leaves the knot range
     Q = penalty_matrix(basis)
@@ -208,8 +224,7 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
         Coefficients of both curves plus the last iterate's residuals and a
         grid check of the non-crossing constraint.
     """
-    if iters < 1:
-        raise ValueError(f"iteration budget must be at least 1, got {iters}")
+    _check_iters(iters)
     N = problem.N
     AN = problem.A @ N
     GN = problem.G @ N

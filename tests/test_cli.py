@@ -179,8 +179,9 @@ def test_fit_rejects_bad_knot_grid_in_one_line(xy_csv, tmp_path, capsys, knots):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--iters", "0", "iteration budget must be at least 1, got 0"),
-    ("--penalty", "0", "penalty strength must be positive, got 0.0"),
-], ids=["iters", "penalty"])
+    ("--penalty", "0", "penalty strength must be positive and finite, got 0.0"),
+    ("--penalty", "inf", "penalty strength must be positive and finite, got inf"),
+], ids=["iters", "penalty", "penalty-inf"])
 def test_fit_rejects_bad_solver_settings_before_stage_one(
     xy_csv, tmp_path, capsys, monkeypatch, flag, value, message
 ):
@@ -284,18 +285,31 @@ def test_seed_is_required_for_cv_and_simulate(xy_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_workers_env_must_be_a_positive_integer(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("MODALBAND_WORKERS", "many")
-    code = main(["simulate", "--dist", "1", "--n", "100", "--reps", "1",
-                 "--seed", "0", "--out-dir", str(tmp_path)])
+@pytest.mark.parametrize("command", ["fit", "cv", "simulate"])
+def test_negative_seed_is_refused_before_any_work(xy_csv, tmp_path, capsys, recwarn, command):
+    argv = {
+        "fit": ["fit", "--input", str(xy_csv), "--model", str(tmp_path / "m.json")],
+        "cv": ["cv", "--input", str(xy_csv), "--output", str(tmp_path / "cv.csv")],
+        "simulate": ["simulate", "--dist", "1", "--n", "100", "--reps", "2",
+                     "--out-dir", str(tmp_path)],
+    }[command]
+    code = main(argv + ["--seed", "-1"])
     assert code == 1
-    assert "MODALBAND_WORKERS must be an integer" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+    assert not recwarn.list  # nothing was fitted
+    assert not list(tmp_path.iterdir())
 
-    monkeypatch.setenv("MODALBAND_WORKERS", "0")
-    code = main(["simulate", "--dist", "1", "--n", "100", "--reps", "1",
-                 "--seed", "0", "--out-dir", str(tmp_path)])
-    assert code == 1
-    assert "MODALBAND_WORKERS must be positive" in capsys.readouterr().err
+
+def test_cli_import_loads_no_process_pool():
+    src = os.path.dirname(os.path.dirname(modalband.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, modalband.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +338,13 @@ def test_cv_writes_score_table(xy_csv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--iters", "0", "iters must be at least 1, got 0"),
+    ("--iters", "0", "iteration budget must be at least 1, got 0"),
     ("--eta", "0", "eta must be positive, got 0.0"),
     ("--cap", "0", "cap must be at least 50, got 0"),
     ("--alpha", "1.5", "coverage level must lie in (0, 1), got 1.5"),
-], ids=["iters", "eta", "cap", "alpha"])
+    ("--lambdas", "nan,1e-2", "penalty strength must be positive and finite, got nan"),
+    ("--lambdas", "inf,1e-2", "penalty strength must be positive and finite, got inf"),
+], ids=["iters", "eta", "cap", "alpha", "lambda-nan", "lambda-inf"])
 def test_cv_rejects_bad_solver_settings_before_fitting(
     xy_csv, tmp_path, capsys, recwarn, flag, value, message
 ):
@@ -381,7 +397,17 @@ def test_simulate_rejects_zero_iterations_before_fitting(tmp_path, capsys, recwa
     code = main(["simulate", "--dist", "1", "--n", "100", "--reps", "2",
                  "--iters", "0", "--seed", "0", "--out-dir", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err == "error: iterations must be at least 1, got 0\n"
+    assert capsys.readouterr().err == "error: iteration budget must be at least 1, got 0\n"
+    assert not recwarn.list  # no replication was run
+    assert not (tmp_path / "replications.csv").exists()
+
+
+def test_simulate_rejects_non_finite_penalty_before_fitting(tmp_path, capsys, recwarn):
+    code = main(["simulate", "--dist", "1", "--n", "100", "--reps", "2",
+                 "--lambdas", "nan", "--seed", "0", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: penalty strength must be positive and finite, got nan\n")
     assert not recwarn.list  # no replication was run
     assert not (tmp_path / "replications.csv").exists()
 

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modalband import pipeline
 from modalband.intervals import estimate_levels_all
 from modalband.kde import (
     Dataset,
@@ -374,27 +373,10 @@ def test_density_weights_permutation_invariant():
                        density_weights(shuffled, 0.5), atol=1e-12)
 
 
-def test_density_weights_custom_exponent():
-    data = Dataset(np.linspace(0, 4, 20), np.zeros(20))
-    w1 = density_weights(data, h=0.5, exponent=1.0)
-    w5 = density_weights(data, h=0.5, exponent=0.2)
-    assert np.allclose(w5, w1 ** 0.2, atol=1e-12)
-
-
 def test_density_weights_rejects_bad_bandwidth():
     for h in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
             density_weights(Dataset([0.0], [0.0]), h=h)
-
-
-@pytest.mark.parametrize("h", [np.nan, np.inf], ids=["nan", "inf"])
-def test_run_step1_rejects_non_finite_bandwidth_before_stage_one(monkeypatch, h):
-    def scan(*args, **kwargs):
-        raise AssertionError("stage 1 ran")
-
-    monkeypatch.setattr(pipeline, "estimate_levels_all", scan)
-    with pytest.raises(ValueError, match=f"bandwidth must be positive and finite, got {h}"):
-        pipeline.run_step1(gen_dist1(200, 1), bandwidth=h)
 
 
 def test_density_weights_fast_at_large_n():

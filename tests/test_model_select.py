@@ -86,8 +86,9 @@ def test_band_metrics_drops_points_outside_domain():
 
 def test_band_metrics_errors():
     band = constant_band(2.0, 8.0)
-    with pytest.raises(ValueError, match="eta must be positive"):
-        band_metrics(band, Dataset([1.0, 2.0], [3.0, 4.0]), 0.5, eta=0.0)
+    for eta in (0.0, np.nan):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            band_metrics(band, Dataset([1.0, 2.0], [3.0, 4.0]), 0.5, eta=eta)
     with pytest.raises(ValueError, match="zero range"):
         band_metrics(band, Dataset([1.0, 2.0], [3.0, 3.0]), 0.5)
     with warnings.catch_warnings():
@@ -212,10 +213,11 @@ def test_cv_raises_when_everything_fails(monkeypatch):
 
 def test_cv_validation_errors():
     data = gen_dist1(120, philox(60))
-    with pytest.raises(ValueError, match="nonempty and positive"):
+    with pytest.raises(ValueError, match="penalty grid must be nonempty"):
         select_lambda_cv(data, [], folds=2, seed=0)
-    with pytest.raises(ValueError, match="nonempty and positive"):
-        select_lambda_cv(data, [1e-2, -1.0], folds=2, seed=0)
+    for lam in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"penalty strength must be positive and finite, got {lam}"):
+            select_lambda_cv(data, [1e-2, lam], folds=2, seed=0)
     with pytest.raises(ValueError, match="at least 2 folds"):
         select_lambda_cv(data, [1e-2], folds=1, seed=0)
     small = gen_dist1(30, philox(61))

@@ -181,7 +181,8 @@ def test_detect_rhythms_validation():
     swapped[[3, 4], 0] = swapped[[4, 3], 0]
     with pytest.raises(ValueError, match="strictly increasing"):
         detect_rhythms(swapped)
-    with pytest.raises(ValueError, match="window must be positive"):
-        detect_rhythms(good, window=0.0)
+    for window in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="window must be positive"):
+            detect_rhythms(good, window=window)
     with pytest.raises(ValueError, match="0 < mild < significant"):
         detect_rhythms(good, thresholds=(2.0, 1.5))
