@@ -92,9 +92,7 @@ def _load_dataset(path: str) -> Dataset:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _parse_lambdas(raw: str | None):
-    if raw is None:
-        return DEFAULT_LAMBDA_GRID
+def _parse_lambdas(raw: str):
     try:
         values = tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError as exc:
@@ -102,6 +100,16 @@ def _parse_lambdas(raw: str | None):
     if not values:
         raise CliError("--lambdas must list at least one value")
     return values
+
+
+def _basis(args, data: Dataset) -> SplineBasis:
+    """The options' knot grid, over [--knot-min, --knot-max] if given, else the data's x range."""
+    lo, hi = getattr(args, "knot_min", None), getattr(args, "knot_max", None)
+    if (lo is None) != (hi is None):
+        raise CliError("--knot-min and --knot-max must be given together")
+    if lo is None:
+        lo, hi = float(data.x.min()), float(data.x.max())
+    return SplineBasis.uniform(lo, hi, args.segments, args.degree, args.smoothness)
 
 
 def _write_band_csv(path: str, band, grid: np.ndarray) -> None:
@@ -129,24 +137,14 @@ def _band_grid(lo: float, hi: float, points: int) -> np.ndarray:
 
 def _cmd_fit(args) -> int:
     data = _load_dataset(args.input)
-    if (args.knot_min is None) != (args.knot_max is None):
-        raise CliError("--knot-min and --knot-max must be given together")
     if args.band is not None:
         _check_grid_points(args.grid_points)  # before the fit, so no model is left
     try:
-        basis = None
-        if args.knot_min is not None:
-            basis = SplineBasis.uniform(
-                args.knot_min, args.knot_max, args.segments, args.degree, args.smoothness
-            )
         band, step1 = fit_band(
             data,
             alpha=args.alpha,
             lam=args.penalty,
-            basis=basis,
-            segments=args.segments,
-            degree=args.degree,
-            smoothness=args.smoothness,
+            basis=_basis(args, data),
             cap=args.cap,
             rng=args.seed,
             iters=args.iters,
@@ -183,9 +181,7 @@ def _cmd_cv(args) -> int:
             alpha=args.alpha,
             eta=args.eta,
             seed=args.seed,
-            segments=args.segments,
-            degree=args.degree,
-            smoothness=args.smoothness,
+            basis=_basis(args, data),
             cap=args.cap,
             iters=args.iters,
         )
@@ -267,19 +263,21 @@ def _cmd_rhythm(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_fit_params(sub, with_penalty: bool = True) -> None:
-    sub.add_argument("--alpha", type=float, default=0.5, help="target coverage (default 0.5)")
-    if with_penalty:
-        sub.add_argument("--penalty", type=float, default=1e-2,
-                         help="curvature penalty strength (default 1e-2)")
-    sub.add_argument("--segments", type=int, default=20, help="spline segments (default 20)")
-    sub.add_argument("--degree", type=int, default=3, help="polynomial degree (default 3)")
-    sub.add_argument("--smoothness", type=int, default=2,
-                     help="continuous derivative order at knots (default 2)")
+def _add_fit_params(sub, knot_grid: bool = True) -> None:
+    """Options that fit, cv and simulate share; simulate has no knot grid options."""
+    sub.add_argument("--alpha", type=float, default=0.5,
+                     help="target coverage (default %(default)s)")
+    if knot_grid:
+        sub.add_argument("--segments", type=int, default=20,
+                         help="spline segments (default %(default)s)")
+        sub.add_argument("--degree", type=int, default=3,
+                         help="polynomial degree (default %(default)s)")
+        sub.add_argument("--smoothness", type=int, default=2,
+                         help="continuous derivative order at knots (default %(default)s)")
     sub.add_argument("--cap", type=int, default=1000,
-                     help="largest sample used for conditional CDFs (default 1000)")
+                     help="largest sample used for conditional CDFs (default %(default)s)")
     sub.add_argument("--iters", type=int, default=1000,
-                     help="ADMM iterations, always run in full (default 1000)")
+                     help="ADMM iterations, always run in full (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,40 +293,38 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--model", required=True, help="output model JSON path")
     fit.add_argument("--band", help="optional band CSV path (x,lower,upper,midpoint)")
     fit.add_argument("--grid-points", type=int, default=201,
-                     help="band CSV grid resolution (default 201)")
+                     help="band CSV grid resolution (default %(default)s)")
     fit.add_argument("--knot-min", type=float, help="left knot (default: data minimum)")
     fit.add_argument("--knot-max", type=float, help="right knot (default: data maximum)")
     fit.add_argument("--seed", type=int, default=0,
-                     help="seed for the large-n subsample draw (default 0)")
+                     help="seed for the large-n subsample draw (default %(default)s)")
+    fit.add_argument("--penalty", type=float, default=1e-2,
+                     help="curvature penalty strength (default %(default)s)")
     _add_fit_params(fit)
     fit.set_defaults(func=_cmd_fit)
 
     cv = commands.add_parser("cv", help="cross-validate the penalty strength")
     cv.add_argument("--input", required=True, help="CSV with header x,y")
     cv.add_argument("--output", required=True, help="output CSV (lambda,mean_mcwc,selected)")
-    cv.add_argument("--lambdas", help="comma-separated penalty grid "
-                                      "(default 1e-4,1e-3,1e-2,1e-1,1)")
-    cv.add_argument("--folds", type=int, default=5, help="fold count (default 5)")
+    cv.add_argument("--lambdas", default=",".join(map(str, DEFAULT_LAMBDA_GRID)),
+                    help="comma-separated penalty grid (default %(default)s)")
+    cv.add_argument("--folds", type=int, default=5, help="fold count (default %(default)s)")
     cv.add_argument("--eta", type=float, default=20.0,
-                    help="coverage shortfall penalty rate (default 20)")
+                    help="coverage shortfall penalty rate (default %(default)s)")
     cv.add_argument("--seed", type=int, required=True, help="fold shuffle seed (required)")
-    _add_fit_params(cv, with_penalty=False)
+    _add_fit_params(cv)
     cv.set_defaults(func=_cmd_cv)
 
     sim = commands.add_parser("simulate", help="run the benchmark simulation study")
     sim.add_argument("--dist", type=int, required=True, choices=(1, 2),
                      help="benchmark distribution")
     sim.add_argument("--n", type=int, required=True, help="training sample size")
-    sim.add_argument("--reps", type=int, default=50, help="replications (default 50)")
-    sim.add_argument("--lambdas", help="comma-separated penalty grid "
-                                       "(default 1e-4,1e-3,1e-2,1e-1,1)")
-    sim.add_argument("--alpha", type=float, default=0.5, help="target coverage (default 0.5)")
-    sim.add_argument("--cap", type=int, default=1000,
-                     help="largest sample used for conditional CDFs (default 1000)")
+    sim.add_argument("--reps", type=int, default=50, help="replications (default %(default)s)")
+    sim.add_argument("--lambdas", default=",".join(map(str, DEFAULT_LAMBDA_GRID)),
+                     help="comma-separated penalty grid (default %(default)s)")
+    _add_fit_params(sim, knot_grid=False)
     sim.add_argument("--test-size", type=int, default=1000,
-                     help="fresh test points per replication (default 1000)")
-    sim.add_argument("--iters", type=int, default=1000,
-                     help="ADMM iterations, always run in full (default 1000)")
+                     help="fresh test points per replication (default %(default)s)")
     sim.add_argument("--no-raw-kde", action="store_true",
                      help="skip the unsmoothed kernel-CDF comparator arm")
     sim.add_argument("--seed", type=int, required=True, help="base seed (required)")
@@ -342,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     band.add_argument("--grid-min", type=float, help="grid start (default: first knot)")
     band.add_argument("--grid-max", type=float, help="grid end (default: last knot)")
     band.add_argument("--grid-points", type=int, default=201,
-                      help="grid resolution (default 201)")
+                      help="grid resolution (default %(default)s)")
     band.set_defaults(func=_cmd_band)
 
     rhythm = commands.add_parser("rhythm", help="detect rhythmic cycles in a band CSV")
@@ -350,11 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="band CSV with header x,lower,upper,midpoint")
     rhythm.add_argument("--output", required=True, help="cycle CSV path")
     rhythm.add_argument("--window", type=float, default=DEFAULT_WINDOW,
-                        help="dominance window in x units (default 24)")
+                        help="dominance window in x units (default %(default)s)")
     rhythm.add_argument("--mild", type=float, default=DEFAULT_THRESHOLDS[0],
-                        help="mild-rhythm ratio threshold (default 1.25)")
+                        help="mild-rhythm ratio threshold (default %(default)s)")
     rhythm.add_argument("--significant", type=float, default=DEFAULT_THRESHOLDS[1],
-                        help="significant-rhythm ratio threshold (default 1.5)")
+                        help="significant-rhythm ratio threshold (default %(default)s)")
     rhythm.set_defaults(func=_cmd_rhythm)
 
     return parser

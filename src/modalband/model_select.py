@@ -14,7 +14,7 @@ import numpy as np
 
 from .intervals import _check_alpha, _check_cap
 from .kde import Dataset
-from .pipeline import run_step1, run_step2
+from .pipeline import _basis_for, _check_seed, run_step1, run_step2
 from .solver import FittedBand, _check_iters, _check_penalty_grid
 from .spline import SplineBasis
 
@@ -129,9 +129,7 @@ def select_lambda_cv(
     eta: float = 20.0,
     seed: int = 0,
     *,
-    segments: int = 20,
-    degree: int = 3,
-    smoothness: int = 2,
+    basis: SplineBasis | None = None,
     cap: int = 1000,
     iters: int = 1000,
 ) -> CvResult:
@@ -153,7 +151,9 @@ def select_lambda_cv(
     alpha, eta : float
         Coverage target and the criterion's penalty rate (positive).
     seed : int
-        Seed for the fold shuffle and per-fold subsample draws.
+        Seed for the fold shuffle and per-fold subsample draws, at least 0.
+    basis : SplineBasis, optional
+        Knot grid of every fold fit, covering x's range; by default 20 uniform C^2 cubic segments.
     cap : int
         Largest stage-1 source sample per fold, at least 50.
     iters : int
@@ -167,13 +167,12 @@ def select_lambda_cv(
     _check_eta(eta)
     _check_alpha(alpha)
     _check_cap(cap)
+    _check_seed(seed)
     n = len(data)
     if n < 20 * folds:
         raise ValueError(f"need at least {20 * folds} points for {folds} folds, got {n}")
 
-    basis = SplineBasis.uniform(
-        float(data.x.min()), float(data.x.max()), segments, degree, smoothness
-    )
+    basis = _basis_for(data, basis)
 
     order = np.random.default_rng(seed).permutation(n)
     parts = np.array_split(order, folds)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import QuantileLevelSet, estimate_levels_all
+from .intervals import QuantileLevelSet, _check_alpha, _check_cap, estimate_levels_all
 from .kde import Dataset, density_weights, select_bandwidth
 from .solver import FittedBand, _check_iters, _check_penalty, admm_fit, assemble
 from .spline import SplineBasis
@@ -31,6 +31,12 @@ __all__ = [
     "atomic_write_text",
     "write_csv",
 ]
+
+
+def _check_seed(seed: int) -> None:
+    """Refuse a negative seed in a message that names it, as numpy's does not."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,8 @@ def run_step1(data: Dataset, alpha: float = 0.5, *, cap: int = 1000, rng=0) -> S
     rng : int, sequence of ints, or numpy Generator
         Seed for the subsample draw.
     """
+    _check_alpha(alpha)
+    _check_cap(cap)
     h = select_bandwidth(data.x)
     levels = estimate_levels_all(data, alpha, h, cap=cap, rng=rng)
     weights = density_weights(data, h)
@@ -79,31 +87,33 @@ def run_step2(
     return admm_fit(problem, iters=iters)
 
 
+def _basis_for(data: Dataset, basis: SplineBasis | None) -> SplineBasis:
+    """``basis``, refused unless it covers x, or by default 20 uniform C^2
+    cubic segments over x's range."""
+    if basis is None:
+        return SplineBasis.uniform(float(data.x.min()), float(data.x.max()))
+    basis.segment_index(data.x)  # raises for x outside the knots
+    return basis
+
+
 def fit_band(
     data: Dataset,
     alpha: float = 0.5,
     lam: float = 1e-2,
     basis: SplineBasis | None = None,
     *,
-    segments: int = 20,
-    degree: int = 3,
-    smoothness: int = 2,
     cap: int = 1000,
     rng=0,
     iters: int = 1000,
 ):
     """Full two-stage fit; returns (band, step1).
 
-    When no basis is given, a uniform knot grid with the requested segment
-    count is placed over the covariate range.  The solver settings are
-    checked before stage 1 runs.
+    Without a ``basis`` the grid is 20 uniform C^2 cubic segments over x's
+    range.  The solver settings and the basis are checked before stage 1.
     """
     _check_iters(iters)
     _check_penalty(lam)
-    if basis is None:
-        basis = SplineBasis.uniform(
-            float(data.x.min()), float(data.x.max()), segments, degree, smoothness
-        )
+    basis = _basis_for(data, basis)
     step1 = run_step1(data, alpha, cap=cap, rng=rng)
     band = run_step2(data, step1, basis, lam, iters=iters)
     return band, step1

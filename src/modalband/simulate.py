@@ -32,7 +32,7 @@ from .intervals import (
 )
 from .kde import Dataset
 from .model_select import band_metrics, rmse_bounds
-from .pipeline import run_step1, run_step2, write_csv
+from .pipeline import _check_seed, run_step1, run_step2, write_csv
 from .solver import _check_iters, _check_penalty_grid
 from .spline import SplineBasis
 
@@ -140,7 +140,6 @@ class SimConfig:
     seed: int = 0
     cap: int = 1000
     test_size: int = 1000
-    segments: int = 20
     iterations: int = 1000
     include_raw_kde: bool = True
 
@@ -153,6 +152,7 @@ class SimConfig:
             raise ValueError(f"replications must be positive, got {self.replications}")
         _check_penalty_grid(self.lambdas)
         _check_alpha(self.alpha)
+        _check_seed(self.seed)
         _check_cap(self.cap)
         if self.test_size < 10:
             raise ValueError(f"test_size must be at least 10, got {self.test_size}")
@@ -219,7 +219,7 @@ def _coverage_and_width(low, up, test: Dataset):
 def _run_one_rep(config: SimConfig, rep: int, truth: np.ndarray) -> list[RepResult]:
     train = _generate(config, config.n, _stream(config.seed, rep, 0))
     test = _generate(config, config.test_size, _stream(config.seed, rep, 1))
-    basis = SplineBasis.uniform(_DOMAIN[0], _DOMAIN[1], config.segments)
+    basis = SplineBasis.uniform(*_DOMAIN)
 
     t0 = time.perf_counter()
     step1 = run_step1(train, config.alpha, cap=config.cap, rng=_stream(config.seed, rep, 2))

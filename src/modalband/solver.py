@@ -44,7 +44,6 @@ __all__ = [
     "assemble",
     "quantile_loss",
     "prox_quantile_loss",
-    "project_nonneg",
     "objective",
     "admm_fit",
 ]
@@ -182,11 +181,6 @@ def prox_quantile_loss(z, p, y, w, gamma):
     t_down = gamma * (1.0 - np.asarray(p)) * np.asarray(w)
     r = np.asarray(y) - z
     return np.where(r >= t_up, z + t_up, np.where(r <= -t_down, z - t_down, y))
-
-
-def project_nonneg(z):
-    """Euclidean projection onto the nonnegative orthant."""
-    return np.maximum(np.asarray(z, dtype=float), 0.0)
 
 
 def objective(problem: MirProblem, c) -> float:

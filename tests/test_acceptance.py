@@ -244,8 +244,8 @@ def test_criterion_10_fits_satisfy_constraints():
     for data, lam in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            band, _ = fit_band(data, lam=lam, segments=15, rng=0,
-                               iters=10_000)
+            basis = SplineBasis.uniform(data.x.min(), data.x.max(), segments=15)
+            band, _ = fit_band(data, lam=lam, basis=basis, rng=0, iters=10_000)
         H = continuity_matrix(band.basis)
         worst_cont = max(
             worst_cont,
@@ -304,8 +304,8 @@ def test_criterion_12_true_interval_oracles():
 def test_criterion_13_shift_equivariance():
     data = gen_dist1(200, philox(88))
     shifted = type(data)(data.x, data.y + 100.0)
-    kwargs = dict(alpha=0.5, lam=1e-2, segments=10, rng=0,
-                  iters=20_000)
+    basis = SplineBasis.uniform(data.x.min(), data.x.max(), segments=10)
+    kwargs = dict(alpha=0.5, lam=1e-2, basis=basis, rng=0, iters=20_000)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         base, _ = fit_band(data, **kwargs)

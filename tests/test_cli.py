@@ -12,6 +12,7 @@ import modalband
 from modalband.cli import main
 from modalband.pipeline import fit_band, load_model
 from modalband.simulate import gen_dist1
+from modalband.spline import SplineBasis
 
 
 def philox(*key):
@@ -102,7 +103,8 @@ def test_band_command_matches_fit_band_output(xy_csv, tmp_path, capsys):
 def test_saved_model_round_trips_exactly(xy_csv, tmp_path):
     model, _ = run_fit(xy_csv, tmp_path)
     data = gen_dist1(120, philox(5))
-    expected, _ = fit_band(data, lam=1e-2, segments=10, rng=0)
+    basis = SplineBasis.uniform(data.x.min(), data.x.max(), segments=10)
+    expected, _ = fit_band(data, lam=1e-2, basis=basis, rng=0)
     loaded, config = load_model(str(model))
     assert np.array_equal(loaded.upper, expected.upper)
     assert np.array_equal(loaded.lower, expected.lower)
@@ -193,6 +195,26 @@ def test_fit_rejects_bad_solver_settings_before_stage_one(
                  flag, value])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--alpha", "1.5"], "coverage level must lie in (0, 1), got 1.5"),
+    (["--cap", "10"], "cap must be at least 50, got 10"),
+    (["--knot-min", "0", "--knot-max", "5"], "outside the knot range [0.0, 5.0]"),
+], ids=["alpha", "cap", "knots"])
+def test_fit_rejects_bad_stage_one_input_before_the_bandwidth(
+    xy_csv, tmp_path, capsys, monkeypatch, flags, message
+):
+    def bandwidth(*args, **kwargs):
+        raise AssertionError("bandwidth selected")
+
+    monkeypatch.setattr(modalband.pipeline, "select_bandwidth", bandwidth)
+    code = main(["fit", "--input", str(xy_csv), "--model", str(tmp_path / "m.json"), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "m.json").exists()
 
 

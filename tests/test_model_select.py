@@ -26,6 +26,10 @@ def constant_band(low=2.0, up=8.0, lo_knot=0.0, hi_knot=10.0):
     return FittedBand(upper=upper, lower=lower, basis=basis)
 
 
+def ten_segments(data):
+    return SplineBasis.uniform(data.x.min(), data.x.max(), segments=10)
+
+
 def philox(*key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
 
@@ -157,7 +161,7 @@ def test_rmse_bounds_rejects_bad_truth():
 
 def test_cv_singleton_grid():
     data = gen_dist1(120, philox(55))
-    result = select_lambda_cv(data, [1e-2], folds=2, seed=0, segments=10)
+    result = select_lambda_cv(data, [1e-2], folds=2, seed=0, basis=ten_segments(data))
     assert result.selected == 1e-2
     assert result.selected_index == 0
     assert np.array_equal(result.lambdas, [1e-2])
@@ -168,15 +172,15 @@ def test_cv_singleton_grid():
 
 def test_cv_tie_takes_first_grid_entry():
     data = gen_dist1(120, philox(56))
-    result = select_lambda_cv(data, [1e-2, 1e-2], folds=2, seed=1, segments=10)
+    result = select_lambda_cv(data, [1e-2, 1e-2], folds=2, seed=1, basis=ten_segments(data))
     assert result.mean_scores[0] == result.mean_scores[1]
     assert result.selected_index == 0
 
 
 def test_cv_deterministic_for_fixed_seed():
     data = gen_dist1(120, philox(57))
-    a = select_lambda_cv(data, [1e-2, 1e-1], folds=2, seed=4, segments=10)
-    b = select_lambda_cv(data, [1e-2, 1e-1], folds=2, seed=4, segments=10)
+    a = select_lambda_cv(data, [1e-2, 1e-1], folds=2, seed=4, basis=ten_segments(data))
+    b = select_lambda_cv(data, [1e-2, 1e-1], folds=2, seed=4, basis=ten_segments(data))
     assert np.array_equal(a.fold_scores, b.fold_scores)
     assert a.selected == b.selected
 
@@ -192,7 +196,7 @@ def test_cv_excludes_penalty_with_failed_fold(monkeypatch):
 
     monkeypatch.setattr(model_select, "run_step2", flaky)
     with pytest.warns(RuntimeWarning, match="excluded"):
-        result = select_lambda_cv(data, [1e-2, 1.0], folds=2, seed=2, segments=10)
+        result = select_lambda_cv(data, [1e-2, 1.0], folds=2, seed=2, basis=ten_segments(data))
     assert result.selected == 1e-2
     assert np.isnan(result.mean_scores[1])
     assert np.isfinite(result.mean_scores[0])
@@ -208,7 +212,7 @@ def test_cv_raises_when_everything_fails(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(RuntimeError, match="every penalty value"):
-            select_lambda_cv(data, [1e-2], folds=2, seed=0, segments=10)
+            select_lambda_cv(data, [1e-2], folds=2, seed=0, basis=ten_segments(data))
 
 
 def test_cv_validation_errors():
@@ -220,6 +224,10 @@ def test_cv_validation_errors():
             select_lambda_cv(data, [1e-2, lam], folds=2, seed=0)
     with pytest.raises(ValueError, match="at least 2 folds"):
         select_lambda_cv(data, [1e-2], folds=1, seed=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        select_lambda_cv(data, [1e-2], folds=2, seed=-1)
+    with pytest.raises(ValueError, match="outside the knot range"):
+        select_lambda_cv(data, [1e-2], folds=2, seed=0, basis=SplineBasis.uniform(0.0, 5.0))
     small = gen_dist1(30, philox(61))
     with pytest.raises(ValueError, match="need at least 40 points"):
         select_lambda_cv(small, [1e-2], folds=2, seed=0)

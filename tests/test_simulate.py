@@ -38,7 +38,7 @@ def philox(*key):
 def tiny_config(**overrides):
     base = dict(
         dist=1, n=100, replications=1, lambdas=(1e-2,), seed=11,
-        test_size=100, segments=10,
+        test_size=100,
     )
     base.update(overrides)
     return SimConfig(**base)
@@ -165,6 +165,8 @@ def test_config_validation():
         SimConfig(dist=1, n=100, test_size=5)
     with pytest.raises(ValueError, match="cap must be at least 50, got 10"):
         SimConfig(dist=1, n=100, cap=10)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SimConfig(dist=1, n=100, seed=-1)
 
 
 # ---------------------------------------------------------------------------
