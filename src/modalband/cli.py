@@ -33,25 +33,21 @@ from .spline import SplineBasis
 __all__ = ["main"]
 
 
-class CliError(Exception):
-    """User-facing failure: message is printed as a single stderr line."""
-
-
 def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
     """Read a headered numeric CSV; malformed rows name their line number."""
     try:
         handle = open(path, newline="")
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     with handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
-            raise CliError(f"{path}: empty file") from None
+            raise ValueError(f"{path}: empty file") from None
         header = [cell.strip() for cell in header]
         if header != list(columns):
-            raise CliError(
+            raise ValueError(
                 f"{path}: line 1: expected header '{','.join(columns)}', "
                 f"got '{','.join(header)}'"
             )
@@ -60,28 +56,22 @@ def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
             if not row:
                 continue
             if len(row) != len(columns):
-                raise CliError(
+                raise ValueError(
                     f"{path}: line {lineno}: expected {len(columns)} fields, got {len(row)}"
                 )
-            try:
-                data.append([float(cell) for cell in row])
-            except ValueError:
-                bad = next(c for c in row if not _is_float(c))
-                raise CliError(
-                    f"{path}: line {lineno}: non-numeric value {bad!r}"
-                ) from None
+            values = []
+            for cell in row:
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: non-numeric value {cell!r}"
+                    ) from None
+            data.append(values)
     if not data:
-        raise CliError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     arr = np.asarray(data, dtype=float)
     return {name: arr[:, k] for k, name in enumerate(columns)}
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def _load_dataset(path: str) -> Dataset:
@@ -89,16 +79,23 @@ def _load_dataset(path: str) -> Dataset:
     try:
         return Dataset(cols["x"], cols["y"])
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _check_output_dirs(*paths: str | None) -> None:
+    """Refuse an output whose directory is missing, before any input is read."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValueError(f"cannot write {path}: no such directory")
 
 
 def _parse_lambdas(raw: str):
     try:
         values = tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError as exc:
-        raise CliError(f"invalid --lambdas value: {raw!r}") from exc
+        raise ValueError(f"invalid --lambdas value: {raw!r}") from exc
     if not values:
-        raise CliError("--lambdas must list at least one value")
+        raise ValueError("--lambdas must list at least one value")
     return values
 
 
@@ -106,28 +103,26 @@ def _basis(args, data: Dataset) -> SplineBasis:
     """The options' knot grid, over [--knot-min, --knot-max] if given, else the data's x range."""
     lo, hi = getattr(args, "knot_min", None), getattr(args, "knot_max", None)
     if (lo is None) != (hi is None):
-        raise CliError("--knot-min and --knot-max must be given together")
+        raise ValueError("--knot-min and --knot-max must be given together")
     if lo is None:
         lo, hi = float(data.x.min()), float(data.x.max())
     return SplineBasis.uniform(lo, hi, args.segments, args.degree, args.smoothness)
 
 
 def _write_band_csv(path: str, band, grid: np.ndarray) -> None:
-    lower = band.lower_at(grid)
-    upper = band.upper_at(grid)
-    mid = 0.5 * (lower + upper)
-    write_csv(path, "x,lower,upper,midpoint", zip(grid, lower, upper, mid))
+    lower, upper = band.lower_at(grid), band.upper_at(grid)
+    write_csv(path, "x,lower,upper,midpoint", zip(grid, lower, upper, 0.5 * (lower + upper)))
 
 
 def _check_grid_points(points: int) -> None:
     if points < 2:
-        raise CliError(f"--grid-points must be at least 2, got {points}")
+        raise ValueError(f"--grid-points must be at least 2, got {points}")
 
 
 def _band_grid(lo: float, hi: float, points: int) -> np.ndarray:
     _check_grid_points(points)
     if not lo < hi:
-        raise CliError(f"empty evaluation range [{lo}, {hi}]")
+        raise ValueError(f"empty evaluation range [{lo}, {hi}]")
     return np.linspace(lo, hi, points)
 
 
@@ -136,21 +131,19 @@ def _band_grid(lo: float, hi: float, points: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _cmd_fit(args) -> int:
+    _check_output_dirs(args.model, args.band)
     data = _load_dataset(args.input)
     if args.band is not None:
         _check_grid_points(args.grid_points)  # before the fit, so no model is left
-    try:
-        band, step1 = fit_band(
-            data,
-            alpha=args.alpha,
-            lam=args.penalty,
-            basis=_basis(args, data),
-            cap=args.cap,
-            rng=args.seed,
-            iters=args.iters,
-        )
-    except (ValueError, RuntimeError) as exc:
-        raise CliError(str(exc)) from exc
+    band, step1 = fit_band(
+        data,
+        alpha=args.alpha,
+        lam=args.penalty,
+        basis=_basis(args, data),
+        cap=args.cap,
+        rng=args.seed,
+        iters=args.iters,
+    )
 
     config = {
         "input": os.path.abspath(args.input),
@@ -171,22 +164,19 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_cv(args) -> int:
+    _check_output_dirs(args.output)
     data = _load_dataset(args.input)
-    lambdas = _parse_lambdas(args.lambdas)
-    try:
-        result = select_lambda_cv(
-            data,
-            lambdas,
-            folds=args.folds,
-            alpha=args.alpha,
-            eta=args.eta,
-            seed=args.seed,
-            basis=_basis(args, data),
-            cap=args.cap,
-            iters=args.iters,
-        )
-    except (ValueError, RuntimeError) as exc:
-        raise CliError(str(exc)) from exc
+    result = select_lambda_cv(
+        data,
+        _parse_lambdas(args.lambdas),
+        folds=args.folds,
+        alpha=args.alpha,
+        eta=args.eta,
+        seed=args.seed,
+        basis=_basis(args, data),
+        cap=args.cap,
+        iters=args.iters,
+    )
 
     selected = [int(k == result.selected_index) for k in range(result.lambdas.size)]
     write_csv(args.output, "lambda,mean_mcwc,selected",
@@ -196,23 +186,19 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    lambdas = _parse_lambdas(args.lambdas)
-    try:
-        config = SimConfig(
-            dist=args.dist,
-            n=args.n,
-            replications=args.reps,
-            lambdas=lambdas,
-            alpha=args.alpha,
-            seed=args.seed,
-            cap=args.cap,
-            test_size=args.test_size,
-            iterations=args.iters,
-            include_raw_kde=not args.no_raw_kde,
-        )
-        results = run_replications(config)
-    except (ValueError, RuntimeError) as exc:
-        raise CliError(str(exc)) from exc
+    config = SimConfig(
+        dist=args.dist,
+        n=args.n,
+        replications=args.reps,
+        lambdas=_parse_lambdas(args.lambdas),
+        alpha=args.alpha,
+        seed=args.seed,
+        cap=args.cap,
+        test_size=args.test_size,
+        iterations=args.iters,
+        include_raw_kde=not args.no_raw_kde,
+    )
+    results = run_replications(config)
 
     os.makedirs(args.out_dir, exist_ok=True)
     rep_path = os.path.join(args.out_dir, "replications.csv")
@@ -224,16 +210,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_band(args) -> int:
+    _check_output_dirs(args.output)
     try:
         band, _ = load_model(args.model)
     except OSError as exc:
-        raise CliError(f"cannot read {args.model}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise ValueError(f"cannot read {args.model}: {exc.strerror}") from exc
     lo = band.basis.knots[0] if args.grid_min is None else args.grid_min
     hi = band.basis.knots[-1] if args.grid_max is None else args.grid_max
     if lo < band.basis.knots[0] or hi > band.basis.knots[-1]:
-        raise CliError(
+        raise ValueError(
             f"evaluation range [{lo}, {hi}] leaves the fitted domain "
             f"[{band.basis.knots[0]}, {band.basis.knots[-1]}]"
         )
@@ -244,13 +229,14 @@ def _cmd_band(args) -> int:
 
 
 def _cmd_rhythm(args) -> int:
+    _check_output_dirs(args.output)
     cols = _read_csv(args.input, ("x", "lower", "upper", "midpoint"))
     curve = np.column_stack([cols["x"], cols["midpoint"]])
     thresholds = (args.mild, args.significant)
     try:
         cycles = detect_rhythms(curve, window=args.window, thresholds=thresholds)
     except ValueError as exc:
-        raise CliError(f"{args.input}: {exc}") from exc
+        raise ValueError(f"{args.input}: {exc}") from exc
 
     write_csv(args.output,
               "trough1_x,peak_x,trough2_x,ratio1,ratio2,classification,ratio_undefined",
@@ -359,14 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # fit, cv and simulate hand the seed to numpy, which refuses a negative one
-        if getattr(args, "seed", 0) < 0:
-            raise CliError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -254,6 +254,15 @@ def select_bandwidth(x) -> float:
     if sd == 0.0:
         raise ValueError("degenerate sample: all covariate values are identical")
 
+    h = _plug_in_root(x, n, sd)
+    if not np.isfinite(h) or h <= 0.0:
+        return normal_reference_bandwidth(x)
+    return float(h)
+
+
+def _plug_in_root(x: np.ndarray, n: int, sd: float) -> float:
+    """Root of the plug-in equation; NaN for a pilot functional that is not
+    positive, an undefined bracket end or inner point, or no bracket."""
     scale = _robust_scale(x)
     centers, counts = _pair_counts(x, _PAIR_BINS)
 
@@ -262,7 +271,7 @@ def select_bandwidth(x) -> float:
     td = -_phi6_sum(b, centers, counts, n)
     sda = _phi4_sum(a, centers, counts, n)
     if not np.isfinite(td) or td <= 0.0 or not np.isfinite(sda) or sda <= 0.0:
-        return normal_reference_bandwidth(x)
+        return np.nan
     alpha2 = 1.357 * (sda / td) ** (1.0 / 7.0)
 
     def gap(h: float) -> float:
@@ -276,22 +285,16 @@ def select_bandwidth(x) -> float:
     flo, fhi = gap(lo), gap(hi)
     for attempt in range(99):
         if not (np.isfinite(flo) and np.isfinite(fhi)):
-            return normal_reference_bandwidth(x)
+            return np.nan
         if flo * fhi <= 0.0:
-            break
+            return _find_root(gap, lo, hi, xtol=1e-12 * scale)
         if attempt % 2 == 0:
             hi *= 1.2
             fhi = gap(hi)
         else:
             lo /= 1.2
             flo = gap(lo)
-    else:
-        return normal_reference_bandwidth(x)
-
-    h = _find_root(gap, lo, hi, xtol=1e-12 * scale)
-    if not np.isfinite(h) or h <= 0.0:
-        return normal_reference_bandwidth(x)
-    return float(h)
+    return np.nan
 
 
 # ---------------------------------------------------------------------------

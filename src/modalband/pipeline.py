@@ -19,7 +19,7 @@ import numpy as np
 from .intervals import QuantileLevelSet, _check_alpha, _check_cap, estimate_levels_all
 from .kde import Dataset, density_weights, select_bandwidth
 from .solver import FittedBand, _check_iters, _check_penalty, admm_fit, assemble
-from .spline import SplineBasis
+from .spline import SplineBasis, _check_degree, _check_segments
 
 __all__ = [
     "Step1Result",
@@ -33,9 +33,9 @@ __all__ = [
 ]
 
 
-def _check_seed(seed: int) -> None:
-    """Refuse a negative seed in a message that names it, as numpy's does not."""
-    if seed < 0:
+def _check_seed(seed) -> None:
+    """Refuse a negative integer seed by name, as numpy does not; other seeds pass."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
@@ -64,10 +64,11 @@ def run_step1(data: Dataset, alpha: float = 0.5, *, cap: int = 1000, rng=0) -> S
         Largest source-sample size for the conditional distributions; above
         it a seeded subsample is used.
     rng : int, sequence of ints, or numpy Generator
-        Seed for the subsample draw.
+        Seed for the subsample draw; an int must be non-negative.
     """
     _check_alpha(alpha)
     _check_cap(cap)
+    _check_seed(rng)
     h = select_bandwidth(data.x)
     levels = estimate_levels_all(data, alpha, h, cap=cap, rng=rng)
     weights = density_weights(data, h)
@@ -88,10 +89,12 @@ def run_step2(
 
 
 def _basis_for(data: Dataset, basis: SplineBasis | None) -> SplineBasis:
-    """``basis``, refused unless it covers x, or by default 20 uniform C^2
-    cubic segments over x's range."""
+    """``basis``, refused unless stage 2 can fit it and it covers x, or by
+    default 20 uniform C^2 cubic segments over x's range."""
     if basis is None:
         return SplineBasis.uniform(float(data.x.min()), float(data.x.max()))
+    _check_degree(basis)  # in the order assemble meets them
+    _check_segments(basis)
     basis.segment_index(data.x)  # raises for x outside the knots
     return basis
 
@@ -126,7 +129,10 @@ def fit_band(
 def atomic_write_text(path: str, text: str) -> None:
     """Write a file fully or not at all: temp file in place, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:  # its text would name the temp file, not the target
+        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -104,6 +104,16 @@ def design_matrix(x, basis: SplineBasis) -> np.ndarray:
     return rows
 
 
+def _check_segments(basis: SplineBasis) -> None:
+    if basis.segments < 2:
+        raise ValueError("continuity constraints need at least 2 segments")
+
+
+def _check_degree(basis: SplineBasis) -> None:
+    if basis.degree < 2:
+        raise ValueError("curvature penalty needs degree at least 2")
+
+
 def continuity_matrix(basis: SplineBasis) -> np.ndarray:
     """Constraint rows forcing derivative agreement at interior knots.
 
@@ -112,9 +122,8 @@ def continuity_matrix(basis: SplineBasis) -> np.ndarray:
     g-th derivative of the right segment at its left edge.  A coefficient
     vector c is continuous to the smoothness order iff H @ c = 0.
     """
+    _check_segments(basis)
     b, d, rho = basis.segments, basis.degree, basis.smoothness
-    if b < 2:
-        raise ValueError("continuity constraints need at least 2 segments")
     widths = basis.widths
     H = np.zeros(((b - 1) * (rho + 1), basis.size))
     r = 0
@@ -134,9 +143,8 @@ def penalty_matrix(basis: SplineBasis) -> np.ndarray:
     k, g >= 2 is k(k-1)g(g-1) / (D_j^3 (k+g-3)), the exact integral of
     t^(k-2) * t^(g-2) curvature products.  Always symmetric PSD.
     """
+    _check_degree(basis)
     d = basis.degree
-    if d < 2:
-        raise ValueError("curvature penalty needs degree at least 2")
     widths = basis.widths
     Q = np.zeros((basis.size, basis.size))
     for j in range(basis.segments):

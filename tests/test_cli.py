@@ -10,7 +10,7 @@ import pytest
 
 import modalband
 from modalband.cli import main
-from modalband.pipeline import fit_band, load_model
+from modalband.pipeline import atomic_write_text, fit_band, load_model
 from modalband.simulate import gen_dist1
 from modalband.spline import SplineBasis
 
@@ -129,6 +129,17 @@ def test_band_respects_grid_flags(xy_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_degree_and_smoothness_flags_shape_the_model(xy_csv, tmp_path, capsys):
+    model, band = run_fit(xy_csv, tmp_path, "--degree", "2", "--smoothness", "1")
+    payload = json.loads(model.read_text())
+    assert (payload["degree"], payload["smoothness"]) == (2, 1)
+    assert len(payload["upper"]) == len(payload["lower"]) == 30  # 10 segments x 3
+    again = tmp_path / "band2.csv"
+    assert main(["band", "--model", str(model), "--output", str(again)]) == 0
+    assert again.read_bytes() == band.read_bytes()
+    capsys.readouterr()
+
+
 def test_band_rejects_grid_outside_fitted_domain(xy_csv, tmp_path, capsys):
     model, _ = run_fit(xy_csv, tmp_path)
     code = main([
@@ -198,6 +209,13 @@ def test_fit_rejects_bad_solver_settings_before_stage_one(
     assert not (tmp_path / "m.json").exists()
 
 
+def refuse_bandwidth(monkeypatch):
+    def bandwidth(*args, **kwargs):
+        raise AssertionError("bandwidth selected")
+
+    monkeypatch.setattr(modalband.pipeline, "select_bandwidth", bandwidth)
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--alpha", "1.5"], "coverage level must lie in (0, 1), got 1.5"),
     (["--cap", "10"], "cap must be at least 50, got 10"),
@@ -206,10 +224,7 @@ def test_fit_rejects_bad_solver_settings_before_stage_one(
 def test_fit_rejects_bad_stage_one_input_before_the_bandwidth(
     xy_csv, tmp_path, capsys, monkeypatch, flags, message
 ):
-    def bandwidth(*args, **kwargs):
-        raise AssertionError("bandwidth selected")
-
-    monkeypatch.setattr(modalband.pipeline, "select_bandwidth", bandwidth)
+    refuse_bandwidth(monkeypatch)
     code = main(["fit", "--input", str(xy_csv), "--model", str(tmp_path / "m.json"), *flags])
     assert code == 1
     err = capsys.readouterr().err
@@ -229,6 +244,70 @@ def test_fit_rejects_bad_grid_points_before_stage_one(xy_csv, tmp_path, capsys, 
     assert capsys.readouterr().err == "error: --grid-points must be at least 2, got 1\n"
     assert not (tmp_path / "m.json").exists()
     assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "cv"])
+@pytest.mark.parametrize("flags, message", [
+    (["--segments", "1"], "continuity constraints need at least 2 segments"),
+    (["--degree", "1", "--smoothness", "1"], "curvature penalty needs degree at least 2"),
+], ids=["one-segment", "linear"])
+def test_fit_and_cv_refuse_an_unfittable_basis_before_the_bandwidth(
+    xy_csv, tmp_path, capsys, recwarn, monkeypatch, command, flags, message
+):
+    refuse_bandwidth(monkeypatch)
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "--input", str(xy_csv), "--model", str(out)],
+        "cv": ["cv", "--input", str(xy_csv), "--output", str(out), "--seed", "1"],
+    }[command]
+    assert main(argv + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not recwarn.list  # nothing was fitted
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("outputs", [
+    ["--model", "{missing}/m.json"],
+    ["--model", "{tmp}/m.json", "--band", "{missing}/b.csv"],
+], ids=["model", "band"])
+def test_fit_refuses_a_missing_output_directory_before_any_work(
+    xy_csv, tmp_path, capsys, monkeypatch, outputs
+):
+    refuse_bandwidth(monkeypatch)
+    outputs = [o.format(tmp=tmp_path, missing=tmp_path / "missing") for o in outputs]
+    assert main(["fit", "--input", str(xy_csv), *outputs]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {outputs[-1]}: no such directory\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_cv_refuses_a_missing_output_directory_before_any_work(
+    xy_csv, tmp_path, capsys, recwarn, monkeypatch
+):
+    refuse_bandwidth(monkeypatch)
+    out = tmp_path / "missing" / "cv.csv"
+    assert main(["cv", "--input", str(xy_csv), "--output", str(out), "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: no such directory\n"
+    assert not recwarn.list  # no fold was fitted
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["band", "rhythm"])
+def test_band_and_rhythm_refuse_a_missing_output_directory_before_reading(
+    tmp_path, capsys, command
+):
+    # the input does not exist either: the output is checked first
+    source = {"band": "--model", "rhythm": "--input"}[command]
+    out = tmp_path / "missing" / "out.csv"
+    assert main([command, source, str(tmp_path / "absent"), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: no such directory\n"
+
+
+def test_atomic_write_names_the_target_it_cannot_write(tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    with pytest.raises(OSError, match=f"^cannot write {target}: "):
+        atomic_write_text(str(target), "text\n")
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("payload", [
@@ -317,7 +396,7 @@ def test_negative_seed_is_refused_before_any_work(xy_csv, tmp_path, capsys, recw
     }[command]
     code = main(argv + ["--seed", "-1"])
     assert code == 1
-    assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
     assert not recwarn.list  # nothing was fitted
     assert not list(tmp_path.iterdir())
 
@@ -413,6 +492,18 @@ def test_simulate_outputs_are_reproducible(xy_csv, tmp_path, capsys):
     assert [r[0] for r in rows] == ["kde_mir", "kde"]
     assert rows[1][3] == ""
     assert no_temp_leftovers(first)
+
+
+def test_simulate_no_raw_kde_writes_only_band_rows(tmp_path, capsys):
+    code = main(["simulate", "--dist", "1", "--n", "120", "--reps", "1",
+                 "--lambdas", "1e-2,1e-1", "--test-size", "100", "--seed", "7",
+                 "--no-raw-kde", "--out-dir", str(tmp_path)])
+    assert code == 0
+    _, rows = read_table(tmp_path / "replications.csv")
+    assert [r[0] for r in rows] == ["kde_mir", "kde_mir"]
+    _, rows = read_table(tmp_path / "summary.csv")
+    assert {r[0] for r in rows} == {"kde_mir"}
+    capsys.readouterr()
 
 
 def test_simulate_rejects_zero_iterations_before_fitting(tmp_path, capsys, recwarn):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from modalband import kde
 from modalband.intervals import estimate_levels_all
 from modalband.kde import (
     Dataset,
@@ -206,6 +207,58 @@ def test_bandwidth_rejects_non_finite_sample():
     x[3] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         select_bandwidth(x)
+
+
+# select_bandwidth has one fallback exit; each test below reaches it by one
+# of the four ways the root search can fail
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.lognormal(0.0, 2.0, 2000),
+    lambda rng: rng.standard_cauchy(2000),
+], ids=["lognormal", "cauchy"])
+def test_bandwidth_falls_back_when_a_pilot_functional_is_not_positive(draw):
+    x = draw(np.random.default_rng(1))
+    assert select_bandwidth(x) == normal_reference_bandwidth(x)
+
+
+def patch_phi4(monkeypatch, value_after):
+    """Make kde._phi4_sum return the real value for the first ``value_after``
+    calls (the first is the pilot functional), then NaN; returns the call log."""
+    real, calls = kde._phi4_sum, []
+
+    def phi4(*args):
+        calls.append(args[0])
+        return real(*args) if len(calls) <= value_after else np.nan
+
+    monkeypatch.setattr(kde, "_phi4_sum", phi4)
+    return calls
+
+
+def test_bandwidth_falls_back_when_a_bracket_end_is_undefined(monkeypatch):
+    x = np.random.default_rng(3).standard_normal(200)
+    assert select_bandwidth(x) != normal_reference_bandwidth(x)
+    calls = patch_phi4(monkeypatch, value_after=1)
+    assert select_bandwidth(x) == normal_reference_bandwidth(x)
+    assert len(calls) == 3  # the pilot, then both ends of the first bracket
+
+
+def test_bandwidth_falls_back_when_no_bracket_changes_sign(monkeypatch):
+    # with psi4 fixed at 1e300 the equation's right side is ~1e-61, far
+    # below every bracket, so its gap stays negative and finite
+    x = np.random.default_rng(3).standard_normal(200)
+    calls = []
+    monkeypatch.setattr(kde, "_phi4_sum", lambda *args: calls.append(args[0]) or 1e300)
+    assert select_bandwidth(x) == normal_reference_bandwidth(x)
+    assert len(calls) == 1 + 2 + 99  # the pilot, the first bracket, 99 expansions
+
+
+def test_bandwidth_falls_back_when_the_root_is_undefined(monkeypatch):
+    x = np.random.default_rng(3).standard_normal(200)
+    # the first bracket changes sign; the root search evaluates its ends
+    # again, and then its first inner point is undefined
+    calls = patch_phi4(monkeypatch, value_after=5)
+    assert select_bandwidth(x) == normal_reference_bandwidth(x)
+    assert len(calls) == 6
 
 
 def test_normal_reference_formula():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, lu_factor, lu_solve, null_space
 
+from modalband import pipeline
 from modalband.intervals import QuantileLevelSet
 from modalband.kde import Dataset
 from modalband.pipeline import fit_band, run_step1, run_step2
@@ -232,6 +233,36 @@ def test_fitted_band_satisfies_constraints():
     scale = np.sqrt(2.0 * len(data) + band.basis.size)
     assert band.primal_residual < 1e-4 * scale
     assert band.dual_residual < 1e-4 * scale
+
+
+@pytest.fixture
+def no_bandwidth(monkeypatch):
+    def bandwidth(*args, **kwargs):
+        raise AssertionError("bandwidth selected")
+
+    monkeypatch.setattr(pipeline, "select_bandwidth", bandwidth)
+
+
+@pytest.mark.parametrize("n", [500, 2000])  # below and above cap
+def test_negative_integer_seed_is_refused_before_the_bandwidth(no_bandwidth, n):
+    data = gen_dist1(n, 1)
+    for seed in (-1, np.int64(-1)):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            fit_band(data, rng=seed)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            run_step1(data, rng=seed)
+
+
+@pytest.mark.parametrize("basis, message", [
+    (SplineBasis([0.0, 10.0]), "continuity constraints need at least 2 segments"),
+    (SplineBasis.uniform(0.0, 10.0, degree=1, smoothness=1),
+     "curvature penalty needs degree at least 2"),
+], ids=["one-segment", "linear"])
+def test_fit_band_refuses_an_unfittable_basis_before_the_bandwidth(
+    no_bandwidth, basis, message
+):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit_band(gen_dist1(100, 1), basis=basis)
 
 
 def test_midpoint_tracks_conditional_median():
