@@ -198,9 +198,14 @@ def _cmd_simulate(args) -> int:
         iterations=args.iters,
         include_raw_kde=not args.no_raw_kde,
     )
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot create output directory {args.out_dir}: {exc.strerror}"
+        ) from exc
     results = run_replications(config)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     rep_path = os.path.join(args.out_dir, "replications.csv")
     summary_path = os.path.join(args.out_dir, "summary.csv")
     write_replication_csv(rep_path, results)

@@ -1,14 +1,19 @@
 """Shortest covering intervals of weighted step distributions.
 
 The modal interval at level alpha is the narrowest interval holding at
-least mass alpha.  Candidate endpoints are the support points themselves;
+least mass alpha.  Candidate endpoints are the atoms of positive mass;
 interval mass is counted on the closed interval, so the left endpoint's
 atom is included.  Ties in width are broken toward the smallest left
 endpoint.
 
 The per-observation scan behind :func:`estimate_levels_all` and
-:func:`estimate_intervals_at` handles queries in blocks against the
-(capped) source sample.  Its endpoints and levels equal, bit for bit,
+:func:`estimate_intervals_at` takes the queries in blocks of 64, in order
+of x, against the (capped) source sample.  A block visits only the
+sources within the kernel's reach of its queries and the distinct
+responses among them: every weight beyond the reach is under the
+relative floor of :mod:`.kde`, so it is zero.  The masses are sequential
+sums, which the left-out zero weights do not change, and a zero-mass atom
+is no endpoint, so the scan's endpoints and levels equal, bit for bit,
 those of :func:`shortest_interval` and :func:`mi_quantile_levels` on one
 ``conditional_cdf`` per query, which stay as the per-query reference.
 """
@@ -20,7 +25,16 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .kde import _SQRT_2PI, WEIGHT_FLOOR, Dataset, WeightedECDF, _check_bandwidth, _find_root
+from .kde import (
+    _SQRT_2PI,
+    RELATIVE_FLOOR,
+    WEIGHT_FLOOR,
+    Dataset,
+    WeightedECDF,
+    _check_bandwidth,
+    _find_root,
+    conditional_cdf,
+)
 
 __all__ = [
     "ModalInterval",
@@ -90,6 +104,8 @@ def _shortest_indices(values, cum, pw, alpha):
     best = None
     j = 0
     for i in range(m):
+        if pw[i] == 0.0:
+            continue  # a zero-mass atom is no endpoint
         if j < i:
             j = i
         ci = cum[i] - pw[i]
@@ -108,8 +124,8 @@ def _shortest_indices(values, cum, pw, alpha):
 def shortest_interval(ecdf: WeightedECDF, alpha: float) -> ModalInterval:
     """Narrowest closed interval with mass at least alpha.
 
-    Endpoints are support points of the distribution; equal-width ties go
-    to the smallest left endpoint.  A single atom carrying mass >= alpha
+    Endpoints are atoms of positive mass; equal-width ties go to the
+    smallest left endpoint.  A single atom carrying mass >= alpha
     yields a zero-width interval.
     """
     _check_alpha(alpha)
@@ -129,8 +145,11 @@ def _levels_at_indices(cum, pw, i, j, spare=None, positive=None):
     spare.fill(np.inf)
     np.copyto(spare, pw, where=positive)
     # half the smallest positive weight, floored so 1 - eps < 1 holds in
-    # float64 even when far-tail kernel weights underflow
+    # float64 even when far-tail kernel weights underflow.  A lone atom
+    # (weight 1) takes the floor too, as it does when its neighbours carry
+    # weights under machine epsilon.
     smallest = spare.min(axis=1)
+    smallest[smallest == 1.0] = 0.0
     eps = np.maximum(0.5 * smallest, np.finfo(float).eps)
     rows = np.arange(cum.shape[0])
     p_up = np.minimum(cum[rows, j], 1.0 - eps)
@@ -144,7 +163,8 @@ def mi_quantile_levels(ecdf: WeightedECDF, mi: ModalInterval):
     p_up is the CDF value at the upper endpoint; p_low is the CDF value
     just below the lower endpoint, so that p_up - p_low equals the closed
     interval's mass.  Both are clamped into (0, 1) by half the smallest
-    point weight so downstream quantile losses stay non-degenerate.
+    point weight (machine epsilon for a lone atom) so downstream quantile
+    losses stay non-degenerate.
     """
     values = ecdf.values
     i = int(np.searchsorted(values, mi.low))
@@ -181,31 +201,44 @@ class _Block:
     """Work arrays of the level scan, allocated once per scan.
 
     They hold ``rows`` queries against ``n`` source points with ``m``
-    distinct responses; :meth:`head` views the first rows of each, for a
-    short last block.  Every block writes into them with ``out=``, so the
-    scan does not return 64 x m temporaries to the allocator per block.
+    distinct responses.  :meth:`view` lays a block of any smaller shape over
+    the leading elements of each, so every block's arrays are contiguous,
+    and every block writes into them with ``out=``: the scan does not
+    return rows x m temporaries to the allocator per block.
     """
+
+    _PER_SOURCE = ("u", "w", "floored", "bins")
+    _PER_VALUE = ("pw", "below", "spare", "first", "at", "wrong", "mask")
 
     def __init__(self, rows: int, n: int, m: int):
         self.u = np.empty((rows, n))             # scaled source-query distances
         self.w = np.empty((rows, n))             # kernel exponents, then weights
-        self.floored = np.empty((rows, n), bool)  # weights under WEIGHT_FLOOR
+        self.floored = np.empty((rows, n), bool)  # weights under the row's floor
+        self.bins = np.empty((rows, n), np.intp)  # pooling bin of each weight
         self.pw = np.empty((rows, m))
-        # each row holds [-inf, cum, inf], so a search index k reads cum[k]
-        # at k + 1 and both neighbours exist
-        self.edged = np.full((rows, m + 2), np.inf)
-        self.edged[:, 0] = -np.inf
+        self.edged = np.empty((rows, m + 2))
         self.below = np.empty((rows, m))
         self.spare = np.empty((rows, m))         # targets, checked masses, widths
         self.first = np.empty((rows, m), np.intp)
         self.at = np.empty((rows, m), np.intp)   # gather indices, then j
         self.wrong = np.empty((rows, m), bool)
         self.mask = np.empty((rows, m), bool)
-        self.offset = ((m + 2) * np.arange(rows) + 1)[:, None]  # row starts in edged
 
-    def head(self, rows: int) -> "_Block":
+    def view(self, rows: int, n: int, m: int) -> "_Block":
+        def lead(a, cols):
+            return a.reshape(-1)[:rows * cols].reshape(rows, cols)
+
         view = object.__new__(_Block)
-        view.__dict__ = {name: a[:rows] for name, a in self.__dict__.items()}
+        for name in self._PER_SOURCE:
+            setattr(view, name, lead(getattr(self, name), n))
+        for name in self._PER_VALUE:
+            setattr(view, name, lead(getattr(self, name), m))
+        # each row holds [-inf, cum, inf], so a search index k reads cum[k]
+        # at k + 1 and both neighbours exist
+        view.edged = lead(self.edged, m + 2)
+        view.edged[:, 0] = -np.inf
+        view.edged[:, -1] = np.inf
+        view.offset = ((m + 2) * np.arange(rows) + 1)[:, None]  # row starts in edged
         return view
 
 
@@ -215,7 +248,8 @@ def _shortest_rows(values, cum, pw, alpha):
     Rows are distributions on the same support ``values``; j is
     ``values.size`` in a row where no interval reaches alpha.
     """
-    block = _Block(cum.shape[0], 0, values.size)
+    rows, m = pw.shape
+    block = _Block(rows, 0, m).view(rows, 0, m)
     block.edged[:, 1:-1] = cum
     block.pw[...] = pw
     return _shortest_in_block(values, block, alpha)
@@ -248,69 +282,117 @@ def _shortest_in_block(values, b: _Block, alpha):
     if b.wrong.any():  # rare, and a 2-d nonzero costs more than the check
         for r, k in zip(*np.nonzero(b.wrong)):
             b.first[r, k] = np.searchsorted(cum[r] - b.below[r, k], alpha)
-    # the sweep never moves j left of i or of the previous j, and stops
-    # once j reaches m
+    # the sweep skips zero-mass atoms, never moves j left of i or of the
+    # previous j, and stops once j reaches m
+    np.equal(b.pw, 0.0, out=b.mask)
+    np.copyto(b.first, 0, where=b.mask)
     np.maximum(b.first, np.arange(m), out=b.first)
     j = np.maximum.accumulate(b.first, axis=1, out=b.at)
+    np.copyto(j, m, where=b.mask)
     width = np.take(np.append(values, np.inf), j, out=b.spare, mode="clip")
     np.subtract(width, values, out=width)
     i = np.argmin(width, axis=1)  # leftmost of equal widths
     return i, j[np.arange(rows), i]
 
 
+def _windows(source_x: np.ndarray, queries: np.ndarray, h: float):
+    """Query indices and source window of each block of the level scan.
+
+    Finite queries are taken _QUERY_BLOCK at a time in order of x.  A
+    query's weights fall below RELATIVE_FLOOR times its largest weight,
+    which sits at its nearest source (distance d), beyond the reach
+    h * sqrt((d/h)^2 - 2 ln RELATIVE_FLOOR).  A block's window holds, in
+    source order, the sources within reach of any of its queries; every
+    weight outside it is zero after the floor.
+    """
+    order = np.argsort(source_x, kind="stable")
+    xs = source_x[order]
+    finite = np.flatnonzero(np.isfinite(queries))
+    picked = finite[np.argsort(queries[finite], kind="stable")]
+    x0 = queries[picked]
+    k = np.searchsorted(xs, x0)
+    left, right = xs[np.maximum(k - 1, 0)], xs[np.minimum(k, xs.size - 1)]
+    d = np.minimum(np.abs(x0 - left), np.abs(right - x0))
+    # the pad covers the kernel's rounding, which moves a weight at the
+    # reach by ~1e-14 of itself; x0 +- reach rounds to the float nearest
+    # it, so no source between it and the exact bound is missed
+    reach = h * np.sqrt((d / h) ** 2 - 2.0 * np.log(RELATIVE_FLOOR)) * (1.0 + 2.0**-20)
+    lo = np.searchsorted(xs, x0 - reach, "left")
+    hi = np.searchsorted(xs, x0 + reach, "right")
+    inside = np.empty(xs.size, bool)
+    for start in range(0, picked.size, _QUERY_BLOCK):
+        block = slice(start, start + _QUERY_BLOCK)
+        # sorted sources covered by some [lo, hi) of the block
+        cover = np.bincount(lo[block], minlength=xs.size + 1)
+        cover -= np.bincount(hi[block], minlength=xs.size + 1)
+        inside[order] = np.cumsum(cover[:-1]) > 0
+        yield picked[block], np.flatnonzero(inside)
+
+
 def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, rng):
     """Rows low, up, p_low, p_up of the conditional shortest interval at
     each query covariate, from the capped source sample.
 
-    Queries are taken _QUERY_BLOCK at a time.  Each block forms its kernel
-    weights and pools them onto the distinct source responses in source
-    order, as :func:`conditional_cdf` and ``WeightedECDF.from_samples`` do
-    for one query, so the levels are the same to the last bit.
+    Each block of :func:`_windows` forms the kernel weights of its window,
+    floors them as :func:`conditional_cdf` does, and pools them onto the
+    window's distinct responses in source order.  The sources and
+    responses it leaves out carry zero weight, which changes no sequential
+    sum of ``WeightedECDF.from_samples``, so the levels equal those of one
+    conditional CDF per query to the last bit.
     """
     _check_alpha(alpha)
     _check_bandwidth(h)
     source = _capped_source(data, cap, rng)
     values, inverse = np.unique(source.y, return_inverse=True)
-    m = values.size
-    full = _Block(min(_QUERY_BLOCK, queries.size), source.x.size, m)
-    # row r of a block pools its weights into bins r*m to r*m + m - 1
-    bins = inverse + m * np.arange(full.pw.shape[0])[:, None]
+    full = _Block(min(_QUERY_BLOCK, queries.size), source.x.size, values.size)
+    present = np.empty(values.size, bool)
     out = np.empty((4, queries.size))
-    for start in range(0, queries.size, _QUERY_BLOCK):
-        x0 = queries[start:start + _QUERY_BLOCK]
+    failing = ~np.isfinite(queries)
+    for picked, window in _windows(source.x, queries, h):
+        x0 = queries[picked]
         rows = x0.size
-        b = full if rows == full.pw.shape[0] else full.head(rows)
-        # gaussian_kernel((source.x - x0) / h), floored at WEIGHT_FLOOR
-        np.subtract(source.x, x0[:, None], out=b.u)
+        present.fill(False)
+        present[inverse[window]] = True
+        support = np.flatnonzero(present)
+        b = full.view(rows, window.size, support.size)
+        # gaussian_kernel((source.x - x0) / h), floored as in conditional_cdf
+        np.subtract(source.x[window], x0[:, None], out=b.u)
         np.divide(b.u, h, out=b.u)
         np.multiply(b.u, -0.5, out=b.w)
         np.multiply(b.w, b.u, out=b.w)
         np.maximum(b.w, _MIN_EXPONENT, out=b.w)
         np.exp(b.w, out=b.w)
         np.divide(b.w, _SQRT_2PI, out=b.w)
-        np.less(b.w, WEIGHT_FLOOR, out=b.floored)
+        floor = np.maximum(RELATIVE_FLOOR * b.w.max(axis=1), WEIGHT_FLOOR)
+        np.less(b.w, floor[:, None], out=b.floored)
         np.copyto(b.w, 0.0, where=b.floored)
-        total = b.w.sum(axis=1)
-        supported = total > 0.0  # the total is NaN for a NaN query
+        # row r pools its weights into bins r*m to r*m + m - 1 of the support
+        local = (np.cumsum(present) - 1)[inverse[window]]
+        np.add(local, support.size * np.arange(rows)[:, None], out=b.bins)
         # np.bincount, not np.add.at into b.pw: add.at is slow before numpy 1.25
-        pooled = np.bincount(bins[:rows].ravel(), weights=b.w.ravel(), minlength=rows * m)
-        np.divide(pooled.reshape(rows, m), np.where(supported, total, 1.0)[:, None], out=b.pw)
-        cum = np.cumsum(b.pw, axis=1, out=b.edged[:, 1:-1])
-        i, j = _shortest_in_block(values, b, alpha)
-        failed = ~supported | (j == m)
+        pooled = np.bincount(b.bins.ravel(), weights=b.w.ravel(), minlength=b.pw.size)
+        pooled = pooled.reshape(b.pw.shape)
+        # WeightedECDF.from_samples on each row: the total is the last
+        # cumulative sum, not a separate (pairwise) row sum
+        cum = np.cumsum(pooled, axis=1, out=b.edged[:, 1:-1])
+        total = cum[:, -1].copy()
+        supported = total > 0.0
+        total[~supported] = 1.0
+        np.divide(pooled, total[:, None], out=b.pw)
+        np.divide(cum, total[:, None], out=cum)
+        i, j = _shortest_in_block(values[support], b, alpha)
+        failed = ~supported | (j == support.size)
         if failed.any():
-            q = int(np.argmax(failed))
-            x_bad = float(x0[q])
-            if not np.isfinite(x_bad):
-                raise ValueError("query point must be finite")
-            if not supported[q]:
-                raise ValueError(
-                    f"no kernel support at x0={x_bad}: all weights underflow at bandwidth {h}"
-                )
-            raise ValueError(f"no interval reaches coverage {alpha}")
-        block = slice(start, start + rows)
-        out[2, block], out[3, block] = _levels_at_indices(cum, b.pw, i, j, b.spare, b.mask)
-        out[0, block], out[1, block] = values[i], values[j]
+            failing[picked[failed]] = True
+            continue
+        out[2, picked], out[3, picked] = _levels_at_indices(cum, b.pw, i, j, b.spare, b.mask)
+        out[0, picked], out[1, picked] = values[support[i]], values[support[j]]
+    if failing.any():
+        # the per-query reference raises the error of the first failing
+        # query in the caller's order
+        x_bad = float(queries[np.argmax(failing)])
+        shortest_interval(conditional_cdf(x_bad, source, h), alpha)
+        raise RuntimeError(f"the level scan and its reference disagree at x0={x_bad}")
     return out
 
 

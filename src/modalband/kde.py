@@ -8,7 +8,12 @@ Conventions:
 
 The conditional CDF of Y given X = x0 is the kernel-weighted empirical
 distribution of the responses: each observation y_i carries weight
-K((x_i - x0)/h), and the weights are normalized to sum to one.
+K((x_i - x0)/h), and the weights are normalized to sum to one.  A weight
+under RELATIVE_FLOOR = 2^-53 times the query's largest weight is set to
+zero: it is under half an ulp of the total.  So the kernel can be cut at
+a finite reach, sqrt(d^2 + 106 ln 2 h^2) from a query whose nearest
+observation is d away (8.6h for d = 0).  The masses are sequential sums,
+which zero weights anywhere leave unchanged bit for bit.
 
 The bandwidth's pilot functionals use an exact histogram of all pairwise
 distances, O(n^2).  The density weights f_hat(x_i)^(1/5) are linearly
@@ -37,6 +42,12 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # Kernel weights below this are treated as exactly zero so that queries far
 # outside the covariate support fail loudly instead of dividing 0 by 0.
 WEIGHT_FLOOR = 1e-300
+
+# A weight below this fraction of its query's largest weight is zero too: it
+# is under half an ulp of the query's total, which it would not change.  The
+# largest weight always survives, so a query still lacks support exactly when
+# every weight is under WEIGHT_FLOOR.
+RELATIVE_FLOOR = 2.0**-53
 
 _PAIR_CHUNK = 1 << 16  # pairs per block of rows: the block's temporaries stay in cache
 _PAIR_BINS = 1000   # resolution of the pairwise-distance histogram
@@ -79,8 +90,8 @@ class WeightedECDF:
     """Step distribution on sorted distinct values with positive total mass.
 
     ``cum[k]`` is the probability mass of ``(-inf, values[k]]``; the final
-    entry equals one up to roundoff.  ``point_weight[k]`` is the mass of the
-    atom at ``values[k]``.
+    entry is exactly one.  ``point_weight[k]`` is the mass of the atom at
+    ``values[k]``.
     """
 
     values: np.ndarray
@@ -96,12 +107,14 @@ class WeightedECDF:
             raise ValueError("values and weights must be 1-d arrays of equal length")
         if np.any(weights < 0.0):
             raise ValueError("negative weights")
-        total = weights.sum()
+        uniq, inverse = np.unique(values, return_inverse=True)
+        pooled = np.bincount(inverse, weights=weights, minlength=uniq.size)
+        # sequential sums, which zero weights anywhere leave unchanged
+        cum = np.cumsum(pooled)
+        total = cum[-1]
         if total <= 0.0:
             raise ValueError("all weights are zero")
-        uniq, inverse = np.unique(values, return_inverse=True)
-        pw = np.bincount(inverse, weights=weights, minlength=uniq.size) / total
-        return cls(values=uniq, cum=np.cumsum(pw), point_weight=pw)
+        return cls(values=uniq, cum=cum / total, point_weight=pooled / total)
 
 
 def gaussian_kernel(u):
@@ -328,7 +341,7 @@ def conditional_cdf(x0: float, data: Dataset, h: float) -> WeightedECDF:
     if not np.isfinite(x0):
         raise ValueError("query point must be finite")
     w = gaussian_kernel((data.x - x0) / h)
-    w[w < WEIGHT_FLOOR] = 0.0
+    w[w < max(WEIGHT_FLOOR, RELATIVE_FLOOR * w.max())] = 0.0
     if w.sum() <= 0.0:
         raise ValueError(
             f"no kernel support at x0={x0}: all weights underflow at bandwidth {h}"

@@ -506,6 +506,22 @@ def test_simulate_no_raw_kde_writes_only_band_rows(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_refuses_a_file_as_output_directory_before_any_replication(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(config):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr("modalband.cli.run_replications", refuse)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code = main(["simulate", "--dist", "1", "--n", "100", "--reps", "2", "--seed", "0",
+                 "--out-dir", str(afile)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot create output directory {afile}: File exists\n")
+
+
 def test_simulate_rejects_zero_iterations_before_fitting(tmp_path, capsys, recwarn):
     code = main(["simulate", "--dist", "1", "--n", "100", "--reps", "2",
                  "--iters", "0", "--seed", "0", "--out-dir", str(tmp_path)])

@@ -15,6 +15,7 @@ from modalband.intervals import (
     _capped_source,
     _shortest_indices,
     _shortest_rows,
+    _windows,
     estimate_intervals_at,
     estimate_levels_all,
     mi_quantile_levels,
@@ -22,7 +23,15 @@ from modalband.intervals import (
     true_mi_lognormal,
     true_mi_normal,
 )
-from modalband.kde import WEIGHT_FLOOR, Dataset, WeightedECDF, conditional_cdf, select_bandwidth
+from modalband.kde import (
+    RELATIVE_FLOOR,
+    WEIGHT_FLOOR,
+    Dataset,
+    WeightedECDF,
+    conditional_cdf,
+    gaussian_kernel,
+    select_bandwidth,
+)
 from modalband.simulate import gen_dist1
 
 Z75 = 0.6744897501960817  # standard normal quantile at 0.75
@@ -34,6 +43,7 @@ def brute_force_interval(ecdf, alpha):
     m = values.size
     mass = cum[None, :] - (cum - pw)[:, None]     # closed-interval mass [i, j]
     feasible = (mass >= alpha) & (np.arange(m)[None, :] >= np.arange(m)[:, None])
+    feasible &= (pw > 0.0)[:, None]               # zero-mass atoms are no endpoints
     if not feasible.any():
         return None
     width = np.where(feasible, values[None, :] - values[:, None], np.inf)
@@ -123,6 +133,24 @@ def test_shortest_interval_never_wider_than_equal_tailed():
         assert mi.width <= ecdf.values[up_idx] - ecdf.values[lo_idx] + 1e-12
 
 
+def test_shortest_interval_ignores_zero_mass_atoms():
+    # integer weights put interval masses on decimal alphas, where rounding
+    # decides; atoms of zero mass anywhere must change neither the interval
+    # nor its levels, since the level scan leaves such atoms out
+    rng = np.random.default_rng(14)
+    for _ in range(2000):
+        m = int(rng.integers(2, 12))
+        values = np.cumsum(rng.uniform(0.5, 1.5, m))
+        weights = rng.integers(0, 6, m).astype(float)
+        weights[0] += 1.0
+        alpha = float(rng.integers(1, 10)) / 10
+        full = WeightedECDF.from_samples(values, weights)
+        kept = WeightedECDF.from_samples(values[weights > 0], weights[weights > 0])
+        a, b = shortest_interval(kept, alpha), shortest_interval(full, alpha)
+        assert (a.low, a.up) == (b.low, b.up)
+        assert mi_quantile_levels(kept, a) == mi_quantile_levels(full, b)
+
+
 def test_shortest_interval_rejects_bad_alpha():
     ecdf = WeightedECDF.from_samples([1.0, 2.0], np.ones(2))
     for alpha in (0.0, 1.0, -0.3, 1.5):
@@ -201,6 +229,18 @@ def test_levels_stay_interior_with_underflowed_tail_weight():
     assert 0.0 < p_low < p_up < 1.0
 
 
+def test_levels_of_a_lone_atom_stay_interior():
+    # the relative weight floor can leave an isolated observation alone in
+    # its conditional distribution; it gets the levels it gets when its
+    # neighbours carry weights under machine epsilon
+    eps = np.finfo(float).eps
+    for weights in ([1.0, 0.0], [1.0, 1e-30]):
+        ecdf = WeightedECDF.from_samples([2.0, 5.0], weights)
+        mi = shortest_interval(ecdf, 0.5)
+        assert (mi.low, mi.up) == (2.0, 2.0)
+        assert mi_quantile_levels(ecdf, mi) == (eps, 1.0 - eps)
+
+
 def test_levels_reject_foreign_endpoints():
     ecdf = WeightedECDF.from_samples([1.0, 2.0, 3.0], np.ones(3))
     with pytest.raises(ValueError, match="not a support point"):
@@ -248,6 +288,16 @@ def test_estimate_levels_mean_mass_near_target():
     levels = estimate_levels_all(data, 0.5, h)
     mean_mass = float(np.mean(levels.p_up - levels.p_low))
     assert 0.5 <= mean_mass <= 0.6
+
+
+def test_estimate_levels_take_an_isolated_observation():
+    # an observation 40h from the rest is alone in its conditional
+    # distribution; its levels take the machine-epsilon clamp
+    base, h = gen_dist1(200, 3), 0.3
+    data = Dataset(np.append(base.x, base.x.max() + 40 * h), np.append(base.y, 5.0))
+    levels = estimate_levels_all(data, 0.5, h)
+    eps = np.finfo(float).eps
+    assert (levels.p_low[-1], levels.p_up[-1]) == (eps, 1.0 - eps)
 
 
 def test_estimate_levels_rejects_small_cap():
@@ -310,13 +360,40 @@ def scan_case(name):
     elif name == "underflow":
         # at h = 1 every query sees weights below the floor from far covariates
         data, h = Dataset(rng.uniform(0.0, 100.0, 300), rng.normal(size=300)), 1.0
+    elif name == "shuffled":
+        # repeated queries, and queries between the observations, in no order
+        data = gen_dist1(150, 6)
+        queries = rng.permutation(np.concatenate([data.x, data.x[:40], np.linspace(0, 10, 33)]))
+    elif name == "far-queries":
+        # 30h beyond both ends the weights are ~1e-196: supported, and the
+        # reach h*sqrt(30^2 + 73.5) still takes in the sources at the ends
+        data, h = gen_dist1(150, 6), 0.3
+        queries = np.array([data.x.min() - 30 * h, 5.0, data.x.max() + 30 * h])
+    elif name == "far-outlier":
+        # one covariate 30h past the others, n > cap: the last block's
+        # queries span the gap, and in the source the outlier's conditional
+        # distribution is a lone atom
+        data, h, cap = gen_dist1(400, 9), 0.5, 150
+        data = Dataset(np.append(data.x, data.x.max() + 15.0), np.append(data.y, 0.0))
+    elif name == "offset":
+        # near 1e6, x0 +- reach rounds to steps of ~1e-10
+        base = gen_dist1(150, 6)
+        data = Dataset(base.x + 1e6, base.y)
+    elif name == "far-cluster":
+        # at x = 0 the masses 0.2, 0.5, 0.3 put intervals on alpha = 0.5,
+        # where rounding decides; the far cluster's response 1 lies between
+        # them, as a zero-mass atom of the full support that the scan's
+        # window leaves out
+        y = [0.0] * 2 + [2.0] * 5 + [3.0] * 3 + [1.0]
+        data, h, queries = Dataset([0.0] * 10 + [50.0], y), 1.0, np.zeros(1)
     h = select_bandwidth(data.x) if h is None else h
     return data, h, cap, data.x if queries is None else queries
 
 
 SCAN_CASES = ["dist1", "tied", "hourly", "above-cap", "heavy-atom", "equal-weights",
               "underflow", "queries-1", "queries-63", "queries-64", "queries-65",
-              "queries-129"]
+              "queries-129", "shuffled", "far-queries", "far-outlier", "offset",
+              "far-cluster"]
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
@@ -379,6 +456,32 @@ def test_estimate_intervals_take_scalar_empty_and_1d_queries_only():
     assert low.shape == up.shape == (1,)
     with pytest.raises(ValueError, match=r"scalar or a 1-d array, got shape \(2, 2\)"):
         estimate_intervals_at(data, np.array([[0.2, 0.3], [0.4, 0.5]]), 0.5, 0.1)
+
+
+def test_level_scan_windows_leave_out_only_floored_weights():
+    # every weight a block leaves out is under its row's floor, and the
+    # blocks take each finite query once, in order of x
+    rng = np.random.default_rng(31)
+    for trial in range(90):
+        n = int(rng.integers(1, 300))
+        draws = (rng.uniform(0, 10, n), rng.standard_cauchy(n), np.round(rng.normal(size=n), 1))
+        x = draws[trial % 3] + rng.choice([0.0, 1e6])
+        h = float(10 ** rng.uniform(-10, 1))
+        span = np.ptp(x) + 100 * h
+        grid = x.min() + span * rng.uniform(-0.2, 1.2, 70)
+        queries = np.concatenate([rng.permutation(x)[:100], grid, [np.nan]])
+        seen = []
+        for picked, window in _windows(x, queries, h):
+            assert np.all(np.diff(window) > 0)  # source order
+            weights = gaussian_kernel((x - queries[picked][:, None]) / h)
+            floor = np.maximum(RELATIVE_FLOOR * weights.max(axis=1), WEIGHT_FLOOR)
+            outside = np.ones(n, bool)
+            outside[window] = False
+            assert np.all(weights[:, outside] < floor[:, None])
+            seen.append(picked)
+        seen = np.concatenate(seen)
+        assert np.array_equal(np.sort(seen), np.arange(queries.size - 1))
+        assert np.all(np.diff(queries[seen]) >= 0.0)
 
 
 def test_exponent_clamp_lands_under_the_weight_floor():

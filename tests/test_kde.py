@@ -99,6 +99,29 @@ def test_ecdf_invariants_on_random_inputs():
         assert np.allclose(np.cumsum(ecdf.point_weight), ecdf.cum)
 
 
+def test_ecdf_is_unchanged_by_zero_weights():
+    # sequential sums: zero weights anywhere, in any number, on new or on
+    # existing values, leave the positive atoms bit for bit
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        m = int(rng.integers(1, 40))
+        values = np.round(rng.normal(size=m), 1)
+        weights = rng.exponential(size=m)
+        base = WeightedECDF.from_samples(values, weights)
+        k = int(rng.integers(1, 60))
+        at = rng.integers(0, m + 1, size=k)
+        new_values = np.round(rng.normal(size=k), 2)
+        extra = np.where(rng.random(k) < 0.5, rng.choice(values, k), new_values)
+        padded = WeightedECDF.from_samples(np.insert(values, at, extra),
+                                           np.insert(weights, at, 0.0))
+        keep = np.isin(padded.values, base.values)
+        assert np.array_equal(padded.values[keep], base.values)
+        assert np.array_equal(padded.cum[keep], base.cum)
+        assert np.array_equal(padded.point_weight[keep], base.point_weight)
+        assert np.all(padded.point_weight[~keep] == 0.0)
+        assert base.cum[-1] == padded.cum[-1] == 1.0
+
+
 def test_ecdf_rejects_negative_weights():
     with pytest.raises(ValueError, match="negative weights"):
         WeightedECDF.from_samples([1.0, 2.0], [0.5, -0.1])
@@ -315,6 +338,18 @@ def test_conditional_cdf_monotone_bounded_on_random_data():
         assert np.all(ecdf.cum >= 0.0) and np.all(ecdf.cum <= 1.0 + 1e-12)
         assert np.all(np.diff(ecdf.cum) >= 0.0)
         assert abs(ecdf.cum[-1] - 1.0) < 1e-12
+
+
+def test_conditional_cdf_zeroes_weights_under_the_relative_floor():
+    h = 0.5
+    # 9h from x0 the weight is exp(-40.5) ~ 2.6e-18 of the nearest one's
+    ecdf = conditional_cdf(0.0, Dataset([0.0, 9 * h], [1.0, 2.0]), h)
+    assert np.array_equal(ecdf.point_weight, [1.0, 0.0])
+    # with the nearest source 30h away the query keeps its support; at 33h
+    # the weight is ~1e-237, above WEIGHT_FLOOR, but exp(-94.5) of the nearest
+    ecdf = conditional_cdf(0.0, Dataset([30 * h, 30.5 * h, 33 * h], [1.0, 2.0, 3.0]), h)
+    assert np.all(ecdf.point_weight[:2] > 0.0)
+    assert ecdf.point_weight[2] == 0.0
 
 
 def test_conditional_cdf_rejects_far_query():
