@@ -351,8 +351,9 @@ def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, 
     for picked, window in _windows(source.x, queries, h):
         x0 = queries[picked]
         rows = x0.size
+        responses = inverse[window]
         present.fill(False)
-        present[inverse[window]] = True
+        present[responses] = True
         support = np.flatnonzero(present)
         b = full.view(rows, window.size, support.size)
         # gaussian_kernel((source.x - x0) / h), floored as in conditional_cdf
@@ -367,7 +368,7 @@ def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, 
         np.less(b.w, floor[:, None], out=b.floored)
         np.copyto(b.w, 0.0, where=b.floored)
         # row r pools its weights into bins r*m to r*m + m - 1 of the support
-        local = (np.cumsum(present) - 1)[inverse[window]]
+        local = (np.cumsum(present) - 1)[responses]
         np.add(local, support.size * np.arange(rows)[:, None], out=b.bins)
         # np.bincount, not np.add.at into b.pw: add.at is slow before numpy 1.25
         pooled = np.bincount(b.bins.ravel(), weights=b.w.ravel(), minlength=b.pw.size)
