@@ -348,7 +348,10 @@ def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, 
     present = np.empty(values.size, bool)
     out = np.empty((4, queries.size))
     failing = ~np.isfinite(queries)
-    for picked, window in _windows(source.x, queries, h):
+    # the first failing query in the caller's order decides the error, so
+    # the queries after the first non-finite one need no scan
+    scanned = queries[:np.argmax(failing)] if failing.any() else queries
+    for picked, window in _windows(source.x, scanned, h):
         x0 = queries[picked]
         rows = x0.size
         responses = inverse[window]

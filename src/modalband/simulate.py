@@ -216,10 +216,10 @@ def _coverage_and_width(low, up, test: Dataset):
     return cp, aiw
 
 
-def _run_one_rep(config: SimConfig, rep: int, truth: np.ndarray) -> list[RepResult]:
+def _run_one_rep(config: SimConfig, rep: int, truth: np.ndarray,
+                 basis: SplineBasis) -> list[RepResult]:
     train = _generate(config, config.n, _stream(config.seed, rep, 0))
     test = _generate(config, config.test_size, _stream(config.seed, rep, 1))
-    basis = SplineBasis.uniform(*_DOMAIN)
 
     t0 = time.perf_counter()
     step1 = run_step1(train, config.alpha, cap=config.cap, rng=_stream(config.seed, rep, 2))
@@ -268,11 +268,12 @@ def run_replications(config: SimConfig) -> list[RepResult]:
     and skipped; more than 10% failures aborts the experiment.
     """
     truth = true_band(config.dist, config.alpha, default_truth_grid())
+    basis = SplineBasis.uniform(*_DOMAIN)  # one null space for every replication
     results: list[RepResult] = []
     failures: list[tuple[int, str]] = []
     for rep in range(config.replications):
         try:
-            results.extend(_run_one_rep(config, rep, truth))
+            results.extend(_run_one_rep(config, rep, truth, basis))
         except Exception as exc:  # noqa: BLE001 - collected, bounded below
             failures.append((rep, str(exc)))
 

@@ -8,8 +8,8 @@ per-observation levels plus a curvature penalty,
 
 subject to continuity at the knots up to the smoothness order and the
 segmentwise non-crossing condition (G c >= 0).  Continuity holds by
-construction: each curve is written as N theta, with N an orthonormal
-basis of the null space of :func:`continuity_matrix`, so the program has
+construction: each curve is N theta, with N the basis's ``null_space``,
+built once per basis, so the program is stored in theta coordinates with
 2r unknowns instead of 2m (46 instead of 160 for 20 C^2 cubic segments).
 Splitting with z1 = A N theta and z2 = G N theta gives ADMM updates, at
 step size 1, in which z1 is a componentwise quantile-loss proximal step
@@ -31,7 +31,6 @@ from .intervals import QuantileLevelSet
 from .kde import Dataset
 from .spline import (
     SplineBasis,
-    continuity_matrix,
     design_matrix,
     eval_spline,
     noncross_matrix,
@@ -51,19 +50,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MirProblem:
-    """Assembled program for one band fit, kept as per-curve blocks.
+    """Assembled program for one band fit, in theta coordinates.
 
-    Both curves share the design ``A`` (n x m), the penalty ``Q`` (m x m)
-    and the null-space basis ``N`` (m x r) of the continuity rows; the
-    non-crossing block ``G`` (m x m) acts on the coefficient difference
-    upper - lower.  ``p``, ``y`` and ``w`` stack the upper-curve rows
-    first, then the lower-curve rows.
+    With N = ``basis.null_space`` (m x r), both curves share the design
+    ``AN`` = A N (n x r) and the penalty ``QN`` = N'Q N (r x r); ``GN`` = G N
+    (m x r) holds the non-crossing rows on theta_up - theta_low.  ``p``, ``y``
+    and ``w`` stack the upper-curve rows first, then the lower-curve rows.
     """
 
-    A: np.ndarray
-    Q: np.ndarray
-    G: np.ndarray
-    N: np.ndarray
+    AN: np.ndarray
+    QN: np.ndarray
+    GN: np.ndarray
     p: np.ndarray
     y: np.ndarray
     w: np.ndarray
@@ -123,9 +120,9 @@ def assemble(
 ) -> MirProblem:
     """Build the program coupling the two bound curves.
 
-    Stores the single-curve design, penalty and non-crossing blocks and an
-    orthonormal basis of the continuity null space.  Level order matches
-    the stacking: upper-curve levels first, then lower-curve levels.
+    Stores the single-curve design, penalty and non-crossing blocks mapped
+    onto the basis's continuity null space.  Level order matches the
+    stacking: upper-curve levels first, then lower-curve levels.
     """
     weights = np.asarray(weights, dtype=float)
     n = len(data)
@@ -139,14 +136,12 @@ def assemble(
 
     A = design_matrix(data.x, basis)  # raises when x leaves the knot range
     Q = penalty_matrix(basis)
-    N = _null_space(continuity_matrix(basis))
-    G = noncross_matrix(basis)
+    N = basis.null_space
 
     return MirProblem(
-        A=A,
-        Q=Q,
-        G=G,
-        N=N,
+        AN=A @ N,
+        QN=N.T @ Q @ N,
+        GN=noncross_matrix(basis) @ N,
         p=np.concatenate([levels.p_up, levels.p_low]),
         y=np.concatenate([data.y, data.y]),
         w=np.concatenate([weights, weights]),
@@ -154,14 +149,6 @@ def assemble(
         basis=basis,
         n=n,
     )
-
-
-def _null_space(H: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of null(H): the right singular vectors past the
-    numerical rank, which counts singular values s > max(H.shape) * eps * s_max."""
-    _, s, vh = np.linalg.svd(H)
-    rank = int(np.sum(s > max(H.shape) * np.finfo(float).eps * s[0]))
-    return vh[rank:].T
 
 
 def quantile_loss(t, p):
@@ -184,11 +171,14 @@ def prox_quantile_loss(z, p, y, w, gamma):
 
 
 def objective(problem: MirProblem, c) -> float:
-    """Penalized quantile-loss objective at stacked coefficients (c_up, c_low)."""
-    c = np.asarray(c, dtype=float)
-    upper, lower = np.split(c, 2)
-    r = problem.y - np.concatenate([problem.A @ upper, problem.A @ lower])
-    penalty = upper @ problem.Q @ upper + lower @ problem.Q @ lower
+    """Penalized quantile-loss objective at stacked coefficients (c_up, c_low),
+    evaluated at theta = N'c; refused when ||c - N N'c|| > 1e-9 (1 + ||c||)."""
+    C = np.asarray(c, dtype=float).reshape(2, -1)
+    T = C @ problem.basis.null_space  # rows theta_up, theta_low
+    if np.linalg.norm(C - T @ problem.basis.null_space.T) > 1e-9 * (1.0 + np.linalg.norm(C)):
+        raise ValueError("coefficients are not continuous to the basis's smoothness order")
+    r = problem.y - (T @ problem.AN.T).ravel()
+    penalty = np.sum(T @ problem.QN * T)
     return float(problem.w @ quantile_loss(r, problem.p) + problem.lam * penalty)
 
 
@@ -219,14 +209,12 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
         grid check of the non-crossing constraint.
     """
     _check_iters(iters)
-    N = problem.N
-    AN = problem.A @ N
-    GN = problem.G @ N
+    AN, GN = problem.AN, problem.GN
     n, r = AN.shape
     m = GN.shape[0]
     G = np.hstack([GN, -GN])  # non-crossing rows on theta_up - theta_low
 
-    M = np.kron(np.eye(2), 2.0 * problem.lam * (N.T @ problem.Q @ N) + AN.T @ AN) + G.T @ G
+    M = np.kron(np.eye(2), 2.0 * problem.lam * problem.QN + AN.T @ AN) + G.T @ G
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
@@ -288,8 +276,8 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     if not (np.all(np.isfinite(theta)) and np.isfinite(primal) and np.isfinite(dual)):
         raise RuntimeError(f"non-finite iterates after {iters} iterations")
 
-    theta_up, theta_low = np.split(theta, 2)
-    upper, lower = N @ theta_up, N @ theta_low
+    N = problem.basis.null_space
+    upper, lower = N @ theta[:r], N @ theta[r:]
     grid = np.linspace(problem.basis.knots[0], problem.basis.knots[-1], _NONCROSS_GRID)
     gap = eval_spline(upper, problem.basis, grid) - eval_spline(lower, problem.basis, grid)
     violation = float(max(0.0, -gap.min()))

@@ -17,6 +17,7 @@ nonnegativity of a polynomial on its segment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -33,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplineBasis:
-    """Knot grid with polynomial degree and cross-knot smoothness order."""
+    """Knot grid, degree and smoothness order; owns its continuity null space, built once."""
 
     knots: np.ndarray
     degree: int = 3
@@ -89,6 +90,16 @@ class SplineBasis:
             )
         idx = np.searchsorted(self.knots, x, side="left") - 1
         return np.maximum(idx, 0)
+
+    @cached_property
+    def null_space(self) -> np.ndarray:
+        """Orthonormal basis N (size x r) of null(continuity_matrix), read-only since
+        every fit shares it; rank counts singular values > max(H.shape) * eps * s_max."""
+        H = continuity_matrix(self)
+        _, s, vh = np.linalg.svd(H)
+        N = vh[int(np.sum(s > max(H.shape) * np.finfo(float).eps * s[0])):].T
+        N.setflags(write=False)
+        return N
 
 
 def design_matrix(x, basis: SplineBasis) -> np.ndarray:

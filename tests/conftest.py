@@ -71,3 +71,24 @@ def size_sweep():
         )
         rows[n] = run_experiment(config)[0]
     return rows
+
+
+@pytest.fixture
+def continuity_calls(monkeypatch):
+    """Every basis passed to spline.continuity_matrix, one entry per build.
+
+    The solver module is patched too, in case it imports the function again,
+    so a build there is counted rather than missed.
+    """
+    from modalband import solver, spline
+
+    calls = []
+    real = spline.continuity_matrix
+
+    def counted(basis):
+        calls.append(basis)
+        return real(basis)
+
+    monkeypatch.setattr(spline, "continuity_matrix", counted)
+    monkeypatch.setattr(solver, "continuity_matrix", counted, raising=False)
+    return calls

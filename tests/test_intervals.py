@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import modalband
+from modalband import intervals
 from modalband.intervals import (
     _MIN_EXPONENT,
     ModalInterval,
@@ -446,6 +447,31 @@ def test_estimate_intervals_reject_far_and_non_finite_queries():
         estimate_intervals_at(data, [5.0, np.nan, 1000.0], 0.5, 0.3)
     with pytest.raises(ValueError, match="query point must be finite"):
         estimate_intervals_at(data, [np.inf], 0.5, 0.3)
+
+
+@pytest.fixture
+def finite_windows(monkeypatch):
+    """Queries handed to the level scan's blocks; a non-finite one fails."""
+    handed = []
+
+    def windows(source_x, queries, h):
+        assert np.all(np.isfinite(queries)), "a non-finite query was scanned"
+        handed.append(queries.copy())
+        return _windows(source_x, queries, h)
+
+    monkeypatch.setattr(intervals, "_windows", windows)
+    return handed
+
+
+def test_a_non_finite_query_stops_the_scan_before_it(finite_windows):
+    data = gen_dist1(150, 6)
+    with pytest.raises(ValueError, match="query point must be finite"):
+        estimate_intervals_at(data, [np.nan, 5.0, 1000.0], 0.5, 0.3)
+    assert all(q.size == 0 for q in finite_windows)  # nothing was scanned
+    # an earlier unsupported query still decides the error
+    with pytest.raises(ValueError, match="no kernel support at x0=1000.0"):
+        estimate_intervals_at(data, [1000.0, np.nan], 0.5, 0.3)
+    assert np.array_equal(finite_windows[-1], [1000.0])
 
 
 def test_estimate_intervals_take_scalar_empty_and_1d_queries_only():

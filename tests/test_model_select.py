@@ -185,6 +185,14 @@ def test_cv_deterministic_for_fixed_seed():
     assert a.selected == b.selected
 
 
+def test_cv_builds_the_continuity_null_space_once(continuity_calls):
+    # 2 folds x 2 penalties fit four bands on one basis
+    data = gen_dist1(120, philox(57))
+    result = select_lambda_cv(data, [1e-2, 1e-1], folds=2, seed=4, iters=50)
+    assert np.all(np.isfinite(result.fold_scores))
+    assert len(continuity_calls) == 1
+
+
 def test_cv_excludes_penalty_with_failed_fold(monkeypatch):
     data = gen_dist1(120, philox(58))
     real = model_select.run_step2

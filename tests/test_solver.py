@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, lu_factor, lu_solve, null_space
 
 from modalband import pipeline
 from modalband.intervals import QuantileLevelSet
@@ -39,10 +38,12 @@ def small_problem(n=3, lam=1e-2):
 
 def test_assemble_block_shapes():
     problem, data, levels, basis = small_problem()
-    assert problem.A.shape == (3, 8)
-    assert problem.Q.shape == (8, 8)
-    assert problem.G.shape == (8, 8)
-    assert problem.N.shape == (8, 5)
+    assert problem.AN.shape == (3, 5)
+    assert problem.QN.shape == (5, 5)
+    assert problem.GN.shape == (8, 5)
+    assert basis.null_space.shape == (8, 5)
+    assert not hasattr(problem, "A") and not hasattr(problem, "N")
+    assert np.array_equal(problem.AN, design_matrix(data.x, basis) @ basis.null_space)
     assert problem.n == 3
     assert np.array_equal(problem.p, [0.7, 0.75, 0.8, 0.2, 0.25, 0.3])
     assert np.array_equal(problem.y, np.tile(data.y, 2))
@@ -57,10 +58,10 @@ def test_assemble_blocks_match_single_curve_matrices():
                                               (7, 2, 1, 9), (5, 4, 0, 21)]:
         basis = SplineBasis.uniform(0.0, 3.0, segments, degree, smoothness)
         problem = assemble(data, levels, np.ones(6), basis, 1e-2)
-        assert np.array_equal(problem.A, design_matrix(data.x, basis))
-        assert np.array_equal(problem.Q, penalty_matrix(basis))
-        assert np.array_equal(problem.G, noncross_matrix(basis))
-        N = problem.N
+        N = basis.null_space
+        assert np.array_equal(problem.AN, design_matrix(data.x, basis) @ N)
+        assert np.array_equal(problem.QN, N.T @ penalty_matrix(basis) @ N)
+        assert np.array_equal(problem.GN, noncross_matrix(basis) @ N)
         assert dim == (degree + 1) * segments - (smoothness + 1) * (segments - 1)
         assert N.shape == (basis.size, dim)
         assert np.allclose(N.T @ N, np.eye(dim), atol=1e-13)
@@ -70,10 +71,13 @@ def test_assemble_blocks_match_single_curve_matrices():
 def test_assemble_design_evaluates_both_curves():
     problem, data, levels, basis = small_problem()
     rng = np.random.default_rng(3)
-    upper = rng.normal(size=basis.size)
-    lower = rng.normal(size=basis.size)
-    assert np.allclose(problem.A @ upper, eval_spline(upper, basis, data.x), atol=1e-14)
-    assert np.allclose(problem.A @ lower, eval_spline(lower, basis, data.x), atol=1e-14)
+    # continuous coefficients N theta, the only ones the program represents
+    upper = basis.null_space @ rng.normal(size=5)
+    lower = basis.null_space @ rng.normal(size=5)
+    A = design_matrix(data.x, basis)
+    assert np.allclose(A @ upper, eval_spline(upper, basis, data.x), atol=1e-14)
+    assert np.allclose(A @ lower, eval_spline(lower, basis, data.x), atol=1e-14)
+    assert np.allclose(problem.AN @ (basis.null_space.T @ upper), A @ upper, atol=1e-14)
     # the objective pairs the upper curve with p_up and the lower with p_low
     loss = (quantile_loss(data.y - eval_spline(upper, basis, data.x), levels.p_up).sum()
             + quantile_loss(data.y - eval_spline(lower, basis, data.x), levels.p_low).sum())
@@ -166,6 +170,17 @@ def test_objective_hand_check_at_zero():
     assert objective(problem, np.zeros(16)) == pytest.approx(expected, abs=1e-14)
 
 
+def test_objective_refuses_discontinuous_coefficients():
+    # a jump at the middle knot: theta = N'c would drop it without notice
+    problem, data, levels, basis = small_problem()
+    jump = np.zeros(16)
+    jump[4] = 1.0  # constant term of the second segment of the upper curve
+    with pytest.raises(ValueError, match="not continuous"):
+        objective(problem, jump)
+    continuous = np.concatenate([basis.null_space[:, 0], basis.null_space[:, 1]])
+    assert np.isfinite(objective(problem, continuous))
+
+
 # ---------------------------------------------------------------------------
 # admm_fit
 # ---------------------------------------------------------------------------
@@ -190,6 +205,7 @@ def test_admm_recovers_parallel_lines():
 
 
 def test_admm_solution_is_constrained_local_minimum():
+    linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(41)
     n = 60
     x = np.sort(rng.uniform(0.0, 10.0, n))
@@ -202,11 +218,11 @@ def test_admm_solution_is_constrained_local_minimum():
     c_star = np.concatenate([band.upper, band.lower])
     base = objective(problem, c_star)
 
-    H = block_diag(continuity_matrix(basis), continuity_matrix(basis))
+    H = linalg.block_diag(continuity_matrix(basis), continuity_matrix(basis))
     G = np.hstack([noncross_matrix(basis), -noncross_matrix(basis)])
     slack = G @ c_star
     active = G[slack <= 1e-8]
-    directions = null_space(np.vstack([H, active]))
+    directions = linalg.null_space(np.vstack([H, active]))
     assert directions.shape[1] > 0
     checked = 0
     for _ in range(200):
@@ -311,15 +327,19 @@ def test_admm_rejects_bad_budget():
         admm_fit(problem, iters=0)
 
 
-def kkt_admm_reference(problem, iters):
-    """ADMM at step size 1 over all 2m coefficients, continuity carried as
-    KKT equality rows; returns the coefficients and the last iterate's
-    primal and dual residual norms, the dual one in null-space coordinates."""
-    H_single = continuity_matrix(problem.basis)
-    A = block_diag(problem.A, problem.A)
-    Q = block_diag(problem.Q, problem.Q)
+def kkt_admm_reference(problem, x, iters):
+    """ADMM at step size 1 over all 2m coefficients of the dense design at
+    x, continuity carried as KKT equality rows; returns the coefficients and
+    the last iterate's primal and dual residual norms, the dual one in
+    null-space coordinates."""
+    linalg = pytest.importorskip("scipy.linalg")
+    block_diag, lu_factor, lu_solve = linalg.block_diag, linalg.lu_factor, linalg.lu_solve
+    basis = problem.basis
+    H_single = continuity_matrix(basis)
+    A = block_diag(design_matrix(x, basis), design_matrix(x, basis))
+    Q = block_diag(penalty_matrix(basis), penalty_matrix(basis))
     H = block_diag(H_single, H_single)
-    G = np.hstack([problem.G, -problem.G])
+    G = np.hstack([noncross_matrix(basis), -noncross_matrix(basis)])
     m2, nH = A.shape[1], H.shape[0]
     K = np.block([
         [2.0 * problem.lam * Q + A.T @ A + G.T @ G, H.T],
@@ -338,7 +358,7 @@ def kkt_admm_reference(problem, iters):
         u1 = u1 + Ac - z1
         u2 = u2 + Gc - z2
     primal = np.hypot(np.linalg.norm(Ac - z1), np.linalg.norm(Gc - z2))
-    N = block_diag(problem.N, problem.N)
+    N = block_diag(basis.null_space, basis.null_space)
     dual = np.linalg.norm(N.T @ (A.T @ (z1 - z1_prev) + G.T @ (z2 - z2_prev)))
     return c, primal, dual
 
@@ -354,7 +374,7 @@ def test_null_space_admm_matches_kkt_form():
     problem = assemble(data, levels, rng.uniform(0.5, 2.0, n), basis, lam=1e-2)
     band = admm_fit(problem, iters=300)
     assert band.iterations == 300
-    reference, primal, dual = kkt_admm_reference(problem, 300)
+    reference, primal, dual = kkt_admm_reference(problem, x, 300)
     assert np.max(np.abs(np.concatenate([band.upper, band.lower]) - reference)) <= 1e-9
     # the non-crossing rows are active here, so both residuals include them
     assert band.primal_residual == pytest.approx(primal, rel=1e-8)

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import integrate
-from scipy.linalg import null_space
 
 from modalband.spline import (
     SplineBasis,
@@ -124,7 +122,7 @@ def test_continuity_null_space_gives_smooth_splines():
     rng = np.random.default_rng(21)
     for _ in range(10):
         basis = random_basis(rng)
-        ns = null_space(continuity_matrix(basis))
+        ns = basis.null_space
         coeffs = ns @ rng.normal(size=ns.shape[1])
         eps = 1e-2 * basis.widths.min()
         for knot in basis.knots[1:-1]:
@@ -132,6 +130,18 @@ def test_continuity_null_space_gives_smooth_splines():
             right = cubic_stencil_derivatives(coeffs, basis, knot, eps, +1.0)
             for a, b in zip(left, right):
                 assert abs(a - b) < 1e-9 * max(1.0, abs(a))
+
+
+def test_null_space_is_built_once_and_read_only(continuity_calls):
+    basis = SplineBasis.uniform(0.0, 3.0, segments=5)
+    N = basis.null_space
+    assert basis.null_space is N
+    assert continuity_calls == [basis]
+    assert N.shape == (20, 20 - 3 * 4)
+    assert np.allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-13)
+    assert not N.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        N[0, 0] = 1.0
 
 
 def test_continuity_rows_scale_with_knot_spacing():
@@ -166,6 +176,7 @@ def test_penalty_vanishes_on_linear_splines():
 
 
 def test_penalty_matches_numeric_quadrature():
+    integrate = pytest.importorskip("scipy.integrate")
     rng = np.random.default_rng(23)
     for _ in range(100):
         basis = random_basis(rng, max_segments=4)
