@@ -6,9 +6,9 @@ interval mass is counted on the closed interval, so the left endpoint's
 atom is included.  Ties in width are broken toward the smallest left
 endpoint.
 
-The per-observation scan behind :func:`estimate_levels_all` and
-:func:`estimate_intervals_at` takes the queries in blocks of 64, in order
-of x, against the (capped) source sample.  A block visits only the
+The scan behind :func:`estimate_levels_all` and :func:`estimate_intervals_at`
+takes each distinct query value once, 64 to a block in order of x,
+against the (capped) source sample.  A block visits only the
 sources within the kernel's reach of its queries and the distinct
 responses among them: every weight beyond the reach is under the
 relative floor of :mod:`.kde`, so it is zero.  The masses are sequential
@@ -295,21 +295,18 @@ def _shortest_in_block(values, b: _Block, alpha):
     return i, j[np.arange(rows), i]
 
 
-def _windows(source_x: np.ndarray, queries: np.ndarray, h: float):
-    """Query indices and source window of each block of the level scan.
+def _windows(source_x: np.ndarray, x0: np.ndarray, h: float):
+    """Query slice and source window of each block of the level scan.
 
-    Finite queries are taken _QUERY_BLOCK at a time in order of x.  A
-    query's weights fall below RELATIVE_FLOOR times its largest weight,
-    which sits at its nearest source (distance d), beyond the reach
+    ``x0`` holds sorted, distinct, finite queries, taken _QUERY_BLOCK at a
+    time.  A query's weights fall below RELATIVE_FLOOR times its largest
+    weight, which sits at its nearest source (distance d), beyond the reach
     h * sqrt((d/h)^2 - 2 ln RELATIVE_FLOOR).  A block's window holds, in
     source order, the sources within reach of any of its queries; every
     weight outside it is zero after the floor.
     """
     order = np.argsort(source_x, kind="stable")
     xs = source_x[order]
-    finite = np.flatnonzero(np.isfinite(queries))
-    picked = finite[np.argsort(queries[finite], kind="stable")]
-    x0 = queries[picked]
     k = np.searchsorted(xs, x0)
     left, right = xs[np.maximum(k - 1, 0)], xs[np.minimum(k, xs.size - 1)]
     d = np.minimum(np.abs(x0 - left), np.abs(right - x0))
@@ -320,13 +317,13 @@ def _windows(source_x: np.ndarray, queries: np.ndarray, h: float):
     lo = np.searchsorted(xs, x0 - reach, "left")
     hi = np.searchsorted(xs, x0 + reach, "right")
     inside = np.empty(xs.size, bool)
-    for start in range(0, picked.size, _QUERY_BLOCK):
+    for start in range(0, x0.size, _QUERY_BLOCK):
         block = slice(start, start + _QUERY_BLOCK)
         # sorted sources covered by some [lo, hi) of the block
         cover = np.bincount(lo[block], minlength=xs.size + 1)
         cover -= np.bincount(hi[block], minlength=xs.size + 1)
         inside[order] = np.cumsum(cover[:-1]) > 0
-        yield picked[block], np.flatnonzero(inside)
+        yield block, np.flatnonzero(inside)
 
 
 def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, rng):
@@ -344,15 +341,18 @@ def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, 
     _check_bandwidth(h)
     source = _capped_source(data, cap, rng)
     values, inverse = np.unique(source.y, return_inverse=True)
-    full = _Block(min(_QUERY_BLOCK, queries.size), source.x.size, values.size)
-    present = np.empty(values.size, bool)
-    out = np.empty((4, queries.size))
     failing = ~np.isfinite(queries)
     # the first failing query in the caller's order decides the error, so
-    # the queries after the first non-finite one need no scan
+    # the queries after the first non-finite one need no scan; replicated
+    # queries share one scan row
     scanned = queries[:np.argmax(failing)] if failing.any() else queries
-    for picked, window in _windows(source.x, scanned, h):
-        x0 = queries[picked]
+    distinct, back = np.unique(scanned, return_inverse=True)
+    full = _Block(min(_QUERY_BLOCK, distinct.size), source.x.size, values.size)
+    present = np.empty(values.size, bool)
+    out = np.empty((4, distinct.size))
+    failed = np.zeros(distinct.size, bool)
+    for block, window in _windows(source.x, distinct, h):
+        x0 = distinct[block]
         rows = x0.size
         responses = inverse[window]
         present.fill(False)
@@ -385,19 +385,19 @@ def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, 
         np.divide(pooled, total[:, None], out=b.pw)
         np.divide(cum, total[:, None], out=cum)
         i, j = _shortest_in_block(values[support], b, alpha)
-        failed = ~supported | (j == support.size)
-        if failed.any():
-            failing[picked[failed]] = True
+        failed[block] = ~supported | (j == support.size)
+        if failed[block].any():
             continue
-        out[2, picked], out[3, picked] = _levels_at_indices(cum, b.pw, i, j, b.spare, b.mask)
-        out[0, picked], out[1, picked] = values[support[i]], values[support[j]]
+        out[2, block], out[3, block] = _levels_at_indices(cum, b.pw, i, j, b.spare, b.mask)
+        out[0, block], out[1, block] = values[support[i]], values[support[j]]
+    failing[:back.size] |= failed[back]
     if failing.any():
         # the per-query reference raises the error of the first failing
         # query in the caller's order
         x_bad = float(queries[np.argmax(failing)])
         shortest_interval(conditional_cdf(x_bad, source, h), alpha)
         raise RuntimeError(f"the level scan and its reference disagree at x0={x_bad}")
-    return out
+    return out[:, back]
 
 
 def estimate_levels_all(

@@ -80,10 +80,7 @@ def band_metrics(
     if y_range <= 0.0:
         raise ValueError("test responses have zero range")
 
-    upper = band.upper_at(x)
-    lower = band.lower_at(x)
-    micp = float(np.mean((y >= lower) & (y <= upper)))
-    aiw = float(np.mean(upper - lower))
+    micp, aiw = _coverage_and_width(y, band.lower_at(x), band.upper_at(x))
     nmmiw = aiw / y_range
     return BandMetrics(
         micp=micp,
@@ -95,6 +92,17 @@ def band_metrics(
     )
 
 
+def _coverage_and_width(y, lower, upper):
+    """Fraction of y inside [lower, upper], and the mean width."""
+    return float(np.mean((y >= lower) & (y <= upper))), float(np.mean(upper - lower))
+
+
+def _bound_rmse(lower, upper, truth) -> float:
+    """Upper-curve RMSE plus lower-curve RMSE against truth rows (x, low, up)."""
+    return float(np.sqrt(np.mean((upper - truth[:, 2]) ** 2))
+                 + np.sqrt(np.mean((lower - truth[:, 1]) ** 2)))
+
+
 def rmse_bounds(band: FittedBand, truth) -> float:
     """Sum of the two bound-curve RMSEs against exact interval endpoints.
 
@@ -104,10 +112,8 @@ def rmse_bounds(band: FittedBand, truth) -> float:
     truth = np.asarray(truth, dtype=float)
     if truth.ndim != 2 or truth.shape[1] != 3 or truth.shape[0] == 0:
         raise ValueError("truth must be a nonempty array of (x, low, up) rows")
-    x, low, up = truth[:, 0], truth[:, 1], truth[:, 2]
-    err_up = band.upper_at(x) - up
-    err_low = band.lower_at(x) - low
-    return float(np.sqrt(np.mean(err_up**2)) + np.sqrt(np.mean(err_low**2)))
+    x = truth[:, 0]
+    return _bound_rmse(band.lower_at(x), band.upper_at(x), truth)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .intervals import (
     true_mi_normal,
 )
 from .kde import Dataset
-from .model_select import band_metrics, rmse_bounds
+from .model_select import _bound_rmse, _coverage_and_width, band_metrics, rmse_bounds
 from .pipeline import _check_seed, run_step1, run_step2, write_csv
 from .solver import _check_iters, _check_penalty_grid
 from .spline import SplineBasis
@@ -210,12 +210,6 @@ def _generate(config: SimConfig, n: int, rng) -> Dataset:
     return gen_dist1(n, rng) if config.dist == 1 else gen_dist2(n, rng)
 
 
-def _coverage_and_width(low, up, test: Dataset):
-    cp = float(np.mean((test.y >= low) & (test.y <= up))) * 100.0
-    aiw = float(np.mean(up - low))
-    return cp, aiw
-
-
 def _run_one_rep(config: SimConfig, rep: int, truth: np.ndarray,
                  basis: SplineBasis) -> list[RepResult]:
     train = _generate(config, config.n, _stream(config.seed, rep, 0))
@@ -245,17 +239,13 @@ def _run_one_rep(config: SimConfig, rep: int, truth: np.ndarray,
             train, np.concatenate([truth[:, 0], test.x]), config.alpha,
             step1.bandwidth, cap=config.cap, rng=_stream(config.seed, rep, 2),
         )
-        g = len(truth)
-        g_low, g_up, t_low, t_up = low[:g], up[:g], low[g:], up[g:]
         raw_s = time.perf_counter() - t0
-        rmse = float(
-            np.sqrt(np.mean((g_up - truth[:, 2]) ** 2))
-            + np.sqrt(np.mean((g_low - truth[:, 1]) ** 2))
-        )
-        cp, aiw = _coverage_and_width(t_low, t_up, test)
+        g = len(truth)
+        micp, aiw = _coverage_and_width(test.y, low[g:], up[g:])
         results.append(RepResult(
             method=METHOD_RAW, dist=config.dist, n=config.n, lam=np.nan, rep=rep,
-            rmse=rmse, cp=cp, aiw=aiw, step1_s=raw_s, step2_s=0.0,
+            rmse=_bound_rmse(low[:g], up[:g], truth), cp=micp * 100.0, aiw=aiw,
+            step1_s=raw_s, step2_s=0.0,
         ))
     return results
 

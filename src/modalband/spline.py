@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, like null_space's cache
 class SplineBasis:
     """Knot grid, degree and smoothness order; owns its continuity null space, built once."""
 

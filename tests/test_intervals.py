@@ -1,6 +1,7 @@
 """Shortest intervals, quantile-level conversion, and exact-interval oracles."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -344,8 +345,8 @@ def scan_case(name):
     elif name == "tied":
         data = gen_dist1(300, 7)
         data = Dataset(data.x, np.round(data.y))
-    elif name == "hourly":
-        x = np.repeat(np.arange(241.0), 2)
+    elif name in ("hourly", "hourly-x10"):
+        x = np.repeat(np.arange(241.0), 10 if name == "hourly-x10" else 2)
         y = np.exp(1.0 + 0.3 * np.sin(2 * np.pi * x / 24) + 0.4 * rng.normal(size=x.size))
         data = Dataset(x, y)
     elif name == "above-cap":
@@ -387,6 +388,16 @@ def scan_case(name):
         # window leaves out
         y = [0.0] * 2 + [2.0] * 5 + [3.0] * 3 + [1.0]
         data, h, queries = Dataset([0.0] * 10 + [50.0], y), 1.0, np.zeros(1)
+    elif name == "signed-zero":
+        # replicates at both 0.0 and -0.0, which the scan takes as one value
+        x = np.repeat(np.linspace(-2.0, 2.0, 21), 4)
+        x[np.flatnonzero(x == 0.0)[::2]] = -0.0
+        data = Dataset(x, rng.normal(size=x.size))
+    elif name in ("nan-first", "nan-last"):
+        # replicated covariates, queried with one NaN at either end
+        x = np.repeat(np.linspace(0.0, 10.0, 41), 3)
+        data = Dataset(x, rng.normal(size=x.size))
+        queries = np.concatenate([[np.nan], x] if name == "nan-first" else [x, [np.nan]])
     h = select_bandwidth(data.x) if h is None else h
     return data, h, cap, data.x if queries is None else queries
 
@@ -394,14 +405,19 @@ def scan_case(name):
 SCAN_CASES = ["dist1", "tied", "hourly", "above-cap", "heavy-atom", "equal-weights",
               "underflow", "queries-1", "queries-63", "queries-64", "queries-65",
               "queries-129", "shuffled", "far-queries", "far-outlier", "offset",
-              "far-cluster"]
+              "far-cluster", "hourly-x10", "signed-zero", "nan-first", "nan-last"]
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("name", SCAN_CASES)
 def test_estimate_intervals_match_direct_composition(name, alpha):
     data, h, cap, queries = scan_case(name)
-    expected = direct_scan(data, queries, alpha, h, cap)
+    try:
+        expected = direct_scan(data, queries, alpha, h, cap)
+    except ValueError as exc:  # the scan raises the reference's error
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            estimate_intervals_at(data, queries, alpha, h, cap=cap)
+        return
     low, up = estimate_intervals_at(data, queries, alpha, h, cap=cap)
     assert np.array_equal(low, expected[0])
     assert np.array_equal(up, expected[1])
@@ -451,11 +467,12 @@ def test_estimate_intervals_reject_far_and_non_finite_queries():
 
 @pytest.fixture
 def finite_windows(monkeypatch):
-    """Queries handed to the level scan's blocks; a non-finite one fails."""
+    """Queries handed to the level scan's windows: finite, sorted, distinct."""
     handed = []
 
     def windows(source_x, queries, h):
         assert np.all(np.isfinite(queries)), "a non-finite query was scanned"
+        assert np.all(np.diff(queries) > 0.0), "queries not sorted and distinct"
         handed.append(queries.copy())
         return _windows(source_x, queries, h)
 
@@ -474,6 +491,14 @@ def test_a_non_finite_query_stops_the_scan_before_it(finite_windows):
     assert np.array_equal(finite_windows[-1], [1000.0])
 
 
+def test_replicated_covariates_are_scanned_once(finite_windows):
+    # 241 hours with 10 replicates each: one scan row per hour
+    data, h, cap, _ = scan_case("hourly-x10")
+    estimate_levels_all(data, 0.5, h, cap=cap)
+    assert len(finite_windows) == 1
+    assert np.array_equal(finite_windows[0], np.arange(241.0))
+
+
 def test_estimate_intervals_take_scalar_empty_and_1d_queries_only():
     data = gen_dist1(150, 6)
     low, up = estimate_intervals_at(data, [], 0.5, 0.3)
@@ -486,7 +511,7 @@ def test_estimate_intervals_take_scalar_empty_and_1d_queries_only():
 
 def test_level_scan_windows_leave_out_only_floored_weights():
     # every weight a block leaves out is under its row's floor, and the
-    # blocks take each finite query once, in order of x
+    # blocks slice the sorted, distinct queries into consecutive runs
     rng = np.random.default_rng(31)
     for trial in range(90):
         n = int(rng.integers(1, 300))
@@ -495,19 +520,19 @@ def test_level_scan_windows_leave_out_only_floored_weights():
         h = float(10 ** rng.uniform(-10, 1))
         span = np.ptp(x) + 100 * h
         grid = x.min() + span * rng.uniform(-0.2, 1.2, 70)
-        queries = np.concatenate([rng.permutation(x)[:100], grid, [np.nan]])
+        queries = np.unique(np.concatenate([rng.permutation(x)[:100], grid]))
         seen = []
-        for picked, window in _windows(x, queries, h):
+        for block, window in _windows(x, queries, h):
+            assert isinstance(block, slice)
             assert np.all(np.diff(window) > 0)  # source order
-            weights = gaussian_kernel((x - queries[picked][:, None]) / h)
+            weights = gaussian_kernel((x - queries[block][:, None]) / h)
             floor = np.maximum(RELATIVE_FLOOR * weights.max(axis=1), WEIGHT_FLOOR)
             outside = np.ones(n, bool)
             outside[window] = False
             assert np.all(weights[:, outside] < floor[:, None])
-            seen.append(picked)
-        seen = np.concatenate(seen)
-        assert np.array_equal(np.sort(seen), np.arange(queries.size - 1))
-        assert np.all(np.diff(queries[seen]) >= 0.0)
+            seen.append(np.arange(queries.size)[block])
+        # each query once, in order
+        assert np.array_equal(np.concatenate(seen), np.arange(queries.size))
 
 
 def test_exponent_clamp_lands_under_the_weight_floor():

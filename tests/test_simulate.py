@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from modalband import simulate
 from modalband.simulate import (
@@ -130,6 +129,7 @@ def test_true_band_dist1_symmetric_about_mean():
 
 
 def test_true_band_dist2_narrower_than_equal_tails():
+    ndtri = pytest.importorskip("scipy.special").ndtri
     grid = default_truth_grid()
     rows = true_band(2, 0.5, grid)
     lm, ls = dist2_logmean(grid), dist2_logsd(grid)

@@ -59,6 +59,14 @@ def test_uniform_basis_construction():
         SplineBasis.uniform(2.0, 1.0)
 
 
+def test_basis_compares_and_hashes_by_identity():
+    # the null space is cached per object, so two bases on equal knots are
+    # two keys, and comparing them does not reach the knot arrays
+    a, b = SplineBasis.uniform(0.0, 1.0), SplineBasis.uniform(0.0, 1.0)
+    assert a == a and a != b
+    assert {a: 1, b: 2}[a] == 1
+
+
 def test_segment_index_right_closed():
     basis = SplineBasis([0.0, 1.0, 2.0], degree=3)
     assert np.array_equal(basis.segment_index([0.0, 0.5, 1.0, 1.5, 2.0]),
