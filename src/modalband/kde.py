@@ -15,10 +15,11 @@ a finite reach, sqrt(d^2 + 106 ln 2 h^2) from a query whose nearest
 observation is d away (8.6h for d = 0).  The masses are sequential sums,
 which zero weights anywhere leave unchanged bit for bit.
 
-The bandwidth's pilot functionals use an exact histogram of all pairwise
-distances, O(n^2).  The density weights f_hat(x_i)^(1/5) are linearly
-binned on an h/32 grid and convolved by FFT, O(n log n), within 5e-5
-(relative) of the exact pair sum.
+The bandwidth's pilot functionals read the kernel at the bin centers of an
+exact histogram of all pairwise distances: O(n^2) subtractions and
+O(n nbins log n) searches, with O(n) memory.  The density weights
+f_hat(x_i)^(1/5) are linearly binned on an h/32 grid and convolved by FFT,
+O(n log n), within 5e-5 (relative) of the exact pair sum.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ WEIGHT_FLOOR = 1e-300
 # every weight is under WEIGHT_FLOOR.
 RELATIVE_FLOOR = 2.0**-53
 
-_PAIR_CHUNK = 1 << 16  # pairs per block of rows: the block's temporaries stay in cache
-_PAIR_BINS = 1000   # resolution of the pairwise-distance histogram
+_PAIR_BINS = 1000  # resolution of the pairwise-distance histogram
 
 # density-weight grid: h/32 steps, kernel cut at 12h = 384 steps, where a
 # term is below exp(-72) of the self term
@@ -150,39 +150,27 @@ def normal_reference_bandwidth(x) -> float:
 
 
 def _pair_counts(x: np.ndarray, nbins: int):
-    """Histogram of pairwise distances |x_i - x_j| over i < j.
+    """Exact histogram of pairwise distances |x_i - x_j| over i < j.
 
     The counts equal those of ``np.histogram`` with ``nbins`` bins over
     [0, span].  Returns bin-center distances and pair counts; the diagonal
-    (i = j) is excluded and added analytically by the functional estimators.
+    (i = j) is excluded and added analytically by the functional estimators,
+    which read the kernel at the bin centers.  Costs O(n^2) subtractions and
+    O(n nbins log n) searches, with O(n) memory.
     """
     x = np.sort(x)  # then x_j - x_i = |x_i - x_j| for j > i, exactly
+    n = x.size
     span = float(x[-1] - x[0])
     # the bins of np.histogram over [0, span]: edges[k] <= d < edges[k+1],
-    # with the last bin closed.  left/right hold each bin's edges; their
-    # inf entries step a guess of nbins back and keep the last bin closed.
+    # with the last bin closed.  below[k] counts the pairs with d < edges[k];
+    # every d is at most span, so below[nbins] counts them all.
     edges = np.linspace(0.0, span, nbins + 1)
-    left = np.append(edges[:-1], np.inf)
-    right = np.append(edges[1:-1], [np.inf, np.inf])
-    counts = np.zeros(nbins + 1, dtype=np.intp)
-    corner = 0
-    rows = max(1, _PAIR_CHUNK // x.size)
-    for start in range(0, x.size, rows):
-        # row i against columns j > start; the j <= i corner of the block
-        # is set to 0 and taken back out of bin 0 below
-        d = x[None, start + 1:] - x[start:start + rows, None]
-        tri = np.tri(d.shape[0], min(d.shape), k=-1, dtype=bool)
-        d[:, :tri.shape[1]][tri] = 0.0
-        corner += np.count_nonzero(tri)
-        # the scaled distance is at most one bin off near an edge (and at
-        # most nbins), so one comparison with each neighbouring edge
-        # settles the bin
-        idx = (d * (nbins / span)).astype(np.intp)
-        idx[d < left[idx]] -= 1
-        idx[d >= right[idx]] += 1
-        counts += np.bincount(idx.ravel(), minlength=nbins + 1)
-    counts[0] -= corner
-    counts = counts[:nbins].astype(float)
+    below = np.zeros(nbins + 1, dtype=np.intp)
+    below[-1] = n * (n - 1) // 2
+    for i in range(n - 1):
+        # row i's distances are sorted, since rounding is monotone
+        below[1:-1] += np.searchsorted(x[i + 1:] - x[i], edges[1:-1], side="left")
+    counts = np.diff(below).astype(float)
     centers = (np.arange(nbins) + 0.5) * (span / nbins)
     return centers, counts
 

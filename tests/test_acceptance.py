@@ -11,8 +11,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
-from scipy.special import ndtri
 
 import conftest
 from modalband.intervals import (
@@ -135,6 +133,7 @@ def test_criterion_05_timing_shape(timing_experiment):
 # ---------------------------------------------------------------------------
 
 def test_criterion_06_penalty_matrix_oracle():
+    integrate = pytest.importorskip("scipy.integrate")
     rng = np.random.default_rng(61)
     worst = 0.0
     for _ in range(100):
@@ -271,6 +270,7 @@ def test_criterion_11_mcwc_continuity():
 
 
 def test_criterion_12_true_interval_oracles():
+    ndtri = pytest.importorskip("scipy.special").ndtri
     rng = np.random.default_rng(121)
     worst_normal = 0.0
     for _ in range(50):

@@ -174,13 +174,20 @@ def test_bandwidth_root_matches_brent_reference(sample, expected):
 
 
 @pytest.mark.parametrize("n", [2, 255, 256, 257, 513])
-@pytest.mark.parametrize("kind", ["normal", "rounded", "replicated", "edges"])
+@pytest.mark.parametrize("kind", ["normal", "rounded", "replicated", "hourly", "edges",
+                                  "offset"])
 def test_pair_counts_match_histogram_of_upper_triangle(n, kind):
     x = np.random.default_rng(n).standard_normal(n)
     if kind == "rounded":
         x = np.round(x, 1)  # ties
     elif kind == "replicated":
         x = (np.arange(1, n + 1) // 2).astype(float)  # 0, 1, 1, 2, 2, ...
+    elif kind == "hourly":
+        if n == 2:
+            pytest.skip("one hour twice: no span, a sample select_bandwidth refuses")
+        x = np.repeat(np.arange(n // 2 + 1.0), 2)[:n]  # 0, 0, 1, 1, 2, ...
+    elif kind == "offset":
+        x += 1e6  # the distances carry the rounding of values near 1e6
     elif kind == "edges":
         # a 0.01 grid spanning [0, 10]: the distances fall on bin edges
         x = np.random.default_rng(n).integers(0, 1001, n) / 100.0
@@ -193,6 +200,23 @@ def test_pair_counts_match_histogram_of_upper_triangle(n, kind):
     assert np.array_equal(centers, (np.arange(1000) + 0.5) * (span / 1000))
 
 
+@pytest.mark.parametrize("sample,expected", [
+    (lambda: np.repeat(np.arange(0.0, 241.0), 2), 14.731419422695808),
+    (lambda: gen_dist1(10000, np.random.default_rng(1)).x, 0.18586927170067868),
+    # the two covariate draws of the fit-dist1-n10k benchmark workload
+    (lambda: np.random.default_rng(np.random.SeedSequence([0, 1, 0, 0])).uniform(0.0, 10.0, 10000),
+     0.19100985878198795),
+    (lambda: np.random.default_rng(np.random.SeedSequence([0, 1, 1, 0])).uniform(0.0, 10.0, 10000),
+     0.19246532394191207),
+    # through the normal-reference fallback
+    (lambda: np.random.default_rng(1).standard_cauchy(2000), 0.3419810878520093),
+], ids=["hourly", "dist1-n10k", "fit-draw0", "fit-draw1", "cauchy-fallback"])
+def test_bandwidth_is_pinned_to_the_bit(sample, expected):
+    # h from the blockwise pair histogram that the row-wise count replaced;
+    # a count that moves one pair to another bin changes these
+    assert select_bandwidth(sample()) == expected
+
+
 def traced_peak_bytes(f):
     tracemalloc.start()
     try:
@@ -203,11 +227,13 @@ def traced_peak_bytes(f):
 
 
 def test_pairwise_layers_stay_within_memory_bound():
-    # the bandwidth works on blocks of rows; one n x n array of doubles
-    # would take 128 MB here.  The weights need a few arrays of n doubles
-    # and a grid of about 1 100 points, padded to 2 048 for the FFT.
+    # the bandwidth's pair histogram works one row at a time, so one row of
+    # n doubles is its largest temporary; one n x n array of doubles would
+    # take 128 MB here.  The weights need a few arrays of n doubles and a
+    # grid of about 1 100 points, padded to 2 048 for the FFT.
     x = np.random.default_rng(4).uniform(0.0, 10.0, 4000)
     assert traced_peak_bytes(lambda: select_bandwidth(x)) <= 48e6
+    assert traced_peak_bytes(lambda: _pair_counts(x, 1000)) <= 0.5e6
     assert traced_peak_bytes(lambda: density_weights(Dataset(x, x), 0.3)) <= 2e6
     # the level scan works on blocks of queries; one n x cap array of
     # doubles would take 32 MB here
