@@ -173,13 +173,23 @@ def test_bandwidth_root_matches_brent_reference(sample, expected):
     assert abs(select_bandwidth(x) - expected) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("n", [2, 255, 256, 257, 513])
+# n = 2 000 runs 64 residue groups on the continuous kinds; "edges" puts
+# every distance on a bin edge, so every pair goes through the edge search
+@pytest.mark.parametrize("n", [2, 255, 256, 257, 513, 2000])
 @pytest.mark.parametrize("kind", ["normal", "rounded", "replicated", "hourly", "edges",
-                                  "offset"])
+                                  "offset", "thirds", "clusters", "lognormal", "cauchy"])
 def test_pair_counts_match_histogram_of_upper_triangle(n, kind):
     x = np.random.default_rng(n).standard_normal(n)
     if kind == "rounded":
         x = np.round(x, 1)  # ties
+    elif kind == "thirds":
+        x = np.round(3.0 * x) / 3.0  # up to ~270 copies of a value, inexact steps
+    elif kind == "clusters":
+        x[n // 2:] += 1e4  # two far clusters: their pairs sit in the end bins
+    elif kind == "lognormal":
+        x = np.exp(2.0 * x)  # lognormal(0, 2)
+    elif kind == "cauchy":
+        x = np.random.default_rng(n).standard_cauchy(n)
     elif kind == "replicated":
         x = (np.arange(1, n + 1) // 2).astype(float)  # 0, 1, 1, 2, 2, ...
     elif kind == "hourly":
@@ -210,10 +220,16 @@ def test_pair_counts_match_histogram_of_upper_triangle(n, kind):
      0.19246532394191207),
     # through the normal-reference fallback
     (lambda: np.random.default_rng(1).standard_cauchy(2000), 0.3419810878520093),
-], ids=["hourly", "dist1-n10k", "fit-draw0", "fit-draw1", "cauchy-fallback"])
+    (lambda: np.random.default_rng(0).lognormal(0.0, 2.0, 2000), 0.1389474835726503),
+    # two N(0, 1) clusters 1e4 apart
+    (lambda: np.concatenate([np.random.default_rng(9).standard_normal(500),
+                             1e4 + np.random.default_rng(10).standard_normal(500)]),
+     30.001181828094172),
+], ids=["hourly", "dist1-n10k", "fit-draw0", "fit-draw1", "cauchy-fallback",
+        "lognormal", "two-clusters"])
 def test_bandwidth_is_pinned_to_the_bit(sample, expected):
-    # h from the blockwise pair histogram that the row-wise count replaced;
-    # a count that moves one pair to another bin changes these
+    # h from the pair histogram counted by brute force (blockwise, then by
+    # sorted rows); a count that moves one pair to another bin changes these
     assert select_bandwidth(sample()) == expected
 
 
@@ -227,13 +243,18 @@ def traced_peak_bytes(f):
 
 
 def test_pairwise_layers_stay_within_memory_bound():
-    # the bandwidth's pair histogram works one row at a time, so one row of
-    # n doubles is its largest temporary; one n x n array of doubles would
-    # take 128 MB here.  The weights need a few arrays of n doubles and a
-    # grid of about 1 100 points, padded to 2 048 for the FFT.
+    # the bandwidth's pair histogram keeps a few arrays of n values and bins
+    # the pairs it cannot count by FFT in blocks of a few thousand; one n x n
+    # array of doubles would take 128 MB here.  The weights need a few arrays
+    # of n doubles and a grid of about 1 100 points, padded to 2 048 for the
+    # FFT.
     x = np.random.default_rng(4).uniform(0.0, 10.0, 4000)
     assert traced_peak_bytes(lambda: select_bandwidth(x)) <= 48e6
     assert traced_peak_bytes(lambda: _pair_counts(x, 1000)) <= 0.5e6
+    # values on the bin edges: every pair is binned one by one
+    lattice = np.random.default_rng(4000).integers(0, 1001, 4000) / 100.0
+    lattice[:2] = 0.0, 10.0
+    assert traced_peak_bytes(lambda: _pair_counts(lattice, 1000)) <= 0.5e6
     assert traced_peak_bytes(lambda: density_weights(Dataset(x, x), 0.3)) <= 2e6
     # the level scan works on blocks of queries; one n x cap array of
     # doubles would take 32 MB here
