@@ -133,22 +133,17 @@ def shortest_interval(ecdf: WeightedECDF, alpha: float) -> ModalInterval:
     return ModalInterval(float(ecdf.values[i]), float(ecdf.values[j]), alpha)
 
 
-def _levels_at_indices(cum, pw, i, j, spare=None, positive=None):
+def _levels_at_indices(cum, pw, i, j):
     """Quantile levels of interval endpoints, clamped away from {0, 1}.
 
     One distribution per row of ``cum``/``pw``, one index pair per entry
-    of ``i``/``j``.  ``spare`` (float) and ``positive`` (bool), shaped like
-    ``pw``, are work arrays; they are allocated when not given.
+    of ``i``/``j``.
     """
-    spare = np.empty_like(pw) if spare is None else spare
-    positive = np.greater(pw, 0.0, out=positive)
-    spare.fill(np.inf)
-    np.copyto(spare, pw, where=positive)
     # half the smallest positive weight, floored so 1 - eps < 1 holds in
     # float64 even when far-tail kernel weights underflow.  A lone atom
     # (weight 1) takes the floor too, as it does when its neighbours carry
     # weights under machine epsilon.
-    smallest = spare.min(axis=1)
+    smallest = np.min(pw, axis=1, where=pw > 0.0, initial=np.inf)
     smallest[smallest == 1.0] = 0.0
     eps = np.maximum(0.5 * smallest, np.finfo(float).eps)
     rows = np.arange(cum.shape[0])
@@ -388,14 +383,25 @@ def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, 
         failed[block] = ~supported | (j == support.size)
         if failed[block].any():
             continue
-        out[2, block], out[3, block] = _levels_at_indices(cum, b.pw, i, j, b.spare, b.mask)
+        out[2, block], out[3, block] = _levels_at_indices(cum, b.pw, i, j)
         out[0, block], out[1, block] = values[support[i]], values[support[j]]
     failing[:back.size] |= failed[back]
     if failing.any():
         # the per-query reference raises the error of the first failing
         # query in the caller's order
         x_bad = float(queries[np.argmax(failing)])
-        shortest_interval(conditional_cdf(x_bad, source, h), alpha)
+        try:
+            shortest_interval(conditional_cdf(x_bad, source, h), alpha)
+        except ValueError as exc:
+            # an observation always supports its own conditional distribution,
+            # so only the subsample can have left it without support
+            if len(source) < len(data) and np.any(data.x == x_bad):
+                raise ValueError(
+                    f"{exc}; the conditional distributions use cap={cap} of the "
+                    f"{len(data)} observations, and a cap of at least {len(data)} "
+                    "keeps every observation in its own conditional distribution"
+                ) from None
+            raise
         raise RuntimeError(f"the level scan and its reference disagree at x0={x_bad}")
     return out[:, back]
 

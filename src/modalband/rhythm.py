@@ -56,19 +56,11 @@ def classify_ratio(ratio: float, thresholds=DEFAULT_THRESHOLDS) -> str:
     return "none"
 
 
-def _strict_local_minima(values: np.ndarray) -> np.ndarray:
-    interior = (values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])
-    return np.flatnonzero(interior) + 1
-
-
-def _strict_local_maxima(values: np.ndarray) -> np.ndarray:
-    interior = (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
-    return np.flatnonzero(interior) + 1
-
-
-def _lowest(minima: np.ndarray, values: np.ndarray) -> int:
-    """Index of the lowest-valued minimum; ties go to the leftmost."""
-    return int(minima[np.argmin(values[minima])])
+def _strict_minima(values: np.ndarray) -> np.ndarray:
+    """Mask of the interior points below both neighbours; ``-values`` gives maxima."""
+    mask = np.zeros(values.size, bool)
+    mask[1:-1] = (values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])
+    return mask
 
 
 def detect_rhythms(curve, window: float = DEFAULT_WINDOW,
@@ -105,37 +97,30 @@ def detect_rhythms(curve, window: float = DEFAULT_WINDOW,
         raise ValueError(f"window must be positive and finite, got {window}")
     classify_ratio(0.0, thresholds)  # validates the thresholds
 
-    minima = _strict_local_minima(v)
-    qualified = []  # (peak index, preceding trough index, following trough index)
-    for peak in _strict_local_maxima(v):
-        before = np.flatnonzero((x >= x[peak] - window) & (x < x[peak]))
-        after = np.flatnonzero((x > x[peak]) & (x <= x[peak] + window))
-        if before.size and v[before].max() >= v[peak]:
-            continue
-        if after.size and v[after].max() >= v[peak]:
-            continue
-        mins_before = minima[(x[minima] >= x[peak] - window) & (minima < peak)]
-        mins_after = minima[(minima > peak) & (x[minima] <= x[peak] + window)]
-        if mins_before.size == 0 or mins_after.size == 0:
-            continue
-        qualified.append((peak, _lowest(mins_before, v), _lowest(mins_after, v)))
-    # two qualified peaks lie more than a window apart, so a minimum seen by
-    # both windows is a candidate for both troughs and the lowest-leftmost
-    # rule picks the same one: consecutive cycles share a trough, never overlap
-
+    minima = _strict_minima(v)
+    peaks = np.flatnonzero(_strict_minima(-v))
+    # x is strictly increasing, so each peak's window is one slice
+    start = np.searchsorted(x, x[peaks] - window, "left")
+    stop = np.searchsorted(x, x[peaks] + window, "right")
     cycles = []
-    for peak, t1, t2 in qualified:
-        if v[t1] <= 0.0 or v[t2] <= 0.0:
-            cycles.append(RhythmCycle(
-                trough1_x=float(x[t1]), peak_x=float(x[peak]), trough2_x=float(x[t2]),
-                ratio1=0.0, ratio2=0.0, classification="none", ratio_undefined=True,
-            ))
+    for peak, a, b in zip(peaks, start, stop):
+        if np.count_nonzero(v[a:b] >= v[peak]) > 1:
+            continue  # another value in the window reaches the peak
+        before = a + np.flatnonzero(minima[a:peak])
+        after = peak + 1 + np.flatnonzero(minima[peak + 1:b])
+        if before.size == 0 or after.size == 0:
             continue
-        r1 = float(v[peak] / v[t1])
-        r2 = float(v[peak] / v[t2])
+        # the lowest minimum on each side; ties go to the leftmost.  Two
+        # qualified peaks lie more than a window apart, so a minimum seen by
+        # both windows is a candidate for both troughs and this rule picks
+        # the same one: consecutive cycles share a trough, never overlap
+        t1 = before[np.argmin(v[before])]
+        t2 = after[np.argmin(v[after])]
+        undefined = bool(v[t1] <= 0.0 or v[t2] <= 0.0)
+        r1, r2 = (0.0, 0.0) if undefined else (float(v[peak] / v[t1]), float(v[peak] / v[t2]))
         cycles.append(RhythmCycle(
             trough1_x=float(x[t1]), peak_x=float(x[peak]), trough2_x=float(x[t2]),
-            ratio1=r1, ratio2=r2,
-            classification=classify_ratio(min(r1, r2), thresholds),
+            ratio1=r1, ratio2=r2, ratio_undefined=undefined,
+            classification="none" if undefined else classify_ratio(min(r1, r2), thresholds),
         ))
     return cycles

@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import astuple, dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -281,39 +282,25 @@ def run_replications(config: SimConfig) -> list[RepResult]:
     return results
 
 
+def _cell(r: RepResult):
+    """Sort key of a result's (method, dist, n, penalty) cell: band arm first,
+    and the comparator's NaN penalty as +inf, since NaN != NaN."""
+    return (r.method != METHOD_BAND, r.method, r.dist, r.n, np.inf if np.isnan(r.lam) else r.lam)
+
+
 def aggregate(results: list[RepResult]) -> list[ExperimentRow]:
     """Mean/SD summaries per (method, n, penalty) cell, band arm first."""
-    def cell_key(r: RepResult):
-        # NaN != NaN, so the missing-penalty arm needs a stable stand-in key.
-        return (r.method, r.dist, r.n, None if np.isnan(r.lam) else r.lam)
-
-    seen: dict = {}
-    for r in results:
-        seen.setdefault(cell_key(r), []).append(r)
-
-    def sortable(key):
-        method, dist, n, lam = key
-        return (0 if method == METHOD_BAND else 1, dist, n, 1e300 if lam is None else lam)
-
     rows = []
-    for key in sorted(seen, key=sortable):
-        cell = seen[key]
-        method, dist, n, lam = key
-        lam = float("nan") if lam is None else lam
-        rmse = np.array([r.rmse for r in cell])
-        cp = np.array([r.cp for r in cell])
-        aiw = np.array([r.aiw for r in cell])
+    for (_, method, dist, n, _), cell in groupby(sorted(results, key=_cell), key=_cell):
+        cell = list(cell)
 
-        def sd(v):
-            return float(v.std(ddof=1)) if v.size > 1 else 0.0
+        def stats(field):
+            v = np.array([getattr(r, field) for r in cell])
+            return float(v.mean()), float(v.std(ddof=1)) if v.size > 1 else 0.0
 
         rows.append(ExperimentRow(
-            method=method, dist=dist, n=n, lam=lam, reps=len(cell),
-            rmse_mean=float(rmse.mean()), rmse_sd=sd(rmse),
-            cp_mean=float(cp.mean()), cp_sd=sd(cp),
-            aiw_mean=float(aiw.mean()), aiw_sd=sd(aiw),
-            step1_mean=float(np.mean([r.step1_s for r in cell])),
-            step2_mean=float(np.mean([r.step2_s for r in cell])),
+            method, dist, n, cell[0].lam, len(cell), *stats("rmse"), *stats("cp"),
+            *stats("aiw"), stats("step1_s")[0], stats("step2_s")[0],
         ))
     return rows
 

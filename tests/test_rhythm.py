@@ -102,6 +102,70 @@ def test_consecutive_cycles_never_overlap_on_random_curves():
     assert pairs > 1000 and shared > 100  # the shared-trough case is exercised
 
 
+def reference_rhythms(curve, window, thresholds=(1.25, 1.5)):
+    """The grading rule from its definition, with whole-curve masks per peak.
+
+    A peak is an interior point above both neighbours that strictly exceeds
+    every value within ``window`` before and after it; its troughs are the
+    lowest (then leftmost) points below both neighbours within each window.
+    """
+    x, v = curve[:, 0], curve[:, 1]
+    interior = np.arange(1, x.size - 1)
+    below = interior[(v[interior] < v[interior - 1]) & (v[interior] < v[interior + 1])]
+    above = interior[(v[interior] > v[interior - 1]) & (v[interior] > v[interior + 1])]
+    cycles = []
+    for p in above:
+        near = (x >= x[p] - window) & (x <= x[p] + window)
+        near[p] = False
+        if np.any(v[near] >= v[p]):
+            continue
+        sides = [below[(x[below] >= x[p] - window) & (below < p)],
+                 below[(below > p) & (x[below] <= x[p] + window)]]
+        if any(side.size == 0 for side in sides):
+            continue
+        t1, t2 = (side[v[side] == v[side].min()][0] for side in sides)
+        if v[t1] <= 0.0 or v[t2] <= 0.0:
+            cycles.append(RhythmCycle(x[t1], x[p], x[t2], 0.0, 0.0, "none", True))
+            continue
+        r1, r2 = v[p] / v[t1], v[p] / v[t2]
+        cycles.append(RhythmCycle(x[t1], x[p], x[t2], r1, r2,
+                                  classify_ratio(min(r1, r2), thresholds)))
+    return cycles
+
+
+def test_detect_rhythms_matches_the_definition_on_random_curves():
+    # ties (rounded walks, small integers), negative values, integer x on
+    # which window ends fall exactly on samples, windows from 0.01 to 50
+    rng = np.random.default_rng(20261)
+    cycles = 0
+    for k in range(600):
+        if k % 4 == 3:
+            n = int(rng.integers(3, 200))
+            x = np.arange(n, dtype=float) - 50.0
+            curve = np.column_stack([x, rng.integers(-2, 4, n).astype(float)])
+        else:
+            curve = random_curve(rng, k % 4)
+            curve[:, 1] -= rng.uniform(-1.0, 3.0)
+        window = float(rng.integers(1, 30)) if k % 5 == 0 else float(
+            np.exp(rng.uniform(np.log(0.01), np.log(50.0))))
+        expected = reference_rhythms(curve, window)
+        assert detect_rhythms(curve, window=window) == expected
+        cycles += len(expected)
+    assert cycles > 1000
+
+
+@pytest.mark.parametrize("offset, cycles", [(0.0, 0), (1e-12, 1)],
+                         ids=["at-window", "beyond-window"])
+def test_a_higher_value_exactly_one_window_away_disqualifies_the_peak(offset, cycles):
+    # peak 5 at x=2, troughs at x=1 and x=3; the higher 6 sits at x = 2 + 3
+    x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0 + offset, 6.0])
+    curve = np.column_stack([x, [3.0, 1.0, 5.0, 2.0, 4.0, 6.0, 7.0]])
+    found = detect_rhythms(curve, window=3.0)
+    assert len(found) == cycles
+    if found:
+        assert (found[0].trough1_x, found[0].peak_x, found[0].trough2_x) == (1.0, 2.0, 3.0)
+
+
 def test_period_property():
     cycle = RhythmCycle(trough1_x=21.0, peak_x=35.0, trough2_x=49.0,
                         ratio1=3.0, ratio2=3.0, classification="significant")

@@ -1,11 +1,14 @@
 """Program assembly, proximal steps, and ADMM convergence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from modalband import pipeline
-from modalband.intervals import QuantileLevelSet
+from modalband.intervals import QuantileLevelSet, estimate_intervals_at
 from modalband.kde import Dataset
+from modalband.model_select import select_lambda_cv
 from modalband.pipeline import fit_band, run_step1, run_step2
 from modalband.simulate import gen_dist1
 from modalband.solver import (
@@ -279,6 +282,95 @@ def test_fit_band_refuses_an_unfittable_basis_before_the_bandwidth(
 ):
     with pytest.raises(ValueError, match=f"^{message}$"):
         fit_band(gen_dist1(100, 1), basis=basis)
+
+
+# ---------------------------------------------------------------------------
+# fit_band and select_lambda_cv on edge inputs, end to end
+# ---------------------------------------------------------------------------
+
+def skewed_covariate(n, seed=3):
+    """A skewed covariate: x ~ lognormal(0, 2), y = sin(log x) + noise."""
+    rng = np.random.default_rng(seed)
+    x = rng.lognormal(0.0, 2.0, n)
+    return Dataset(x, np.sin(np.log(x)) + rng.normal(0.0, 0.3, n))
+
+
+def hourly(replicates):
+    x = np.repeat(np.arange(0.0, 241.0), replicates)
+    noise = np.random.default_rng(7).normal(0.0, 0.4, x.size)
+    return Dataset(x, np.exp(1.0 + 0.3 * np.sin(2.0 * np.pi * x / 24.0) + noise))
+
+
+def rounded(data):
+    return Dataset(data.x, np.round(data.y))
+
+
+def cauchy_covariate(n):
+    rng = np.random.default_rng(5)
+    x = rng.standard_cauchy(n)
+    return Dataset(x, np.arctan(x) + rng.normal(0.0, 0.3, n))
+
+
+def shifted_covariate(data):
+    return Dataset(data.x + 1e6, data.y)
+
+
+def cv_then_fit(data):
+    result = select_lambda_cv(data, (1e-3, 1e-1), folds=5)
+    assert np.all(np.isfinite(result.fold_scores))
+    return fit_band(data, lam=result.selected)
+
+
+EDGE_INPUTS = {
+    "hourly-x10": lambda: fit_band(hourly(10)),
+    "rounded-y": lambda: fit_band(rounded(gen_dist1(500, 1))),
+    "n10": lambda: fit_band(gen_dist1(10, 1)),
+    "lognormal-x": lambda: fit_band(skewed_covariate(500)),
+    "cauchy-x": lambda: fit_band(cauchy_covariate(500)),
+    "x-plus-1e6": lambda: fit_band(shifted_covariate(gen_dist1(500, 1))),
+    "lognormal-x-above-cap": lambda: fit_band(skewed_covariate(2000)),
+    "cv-20-per-fold": lambda: cv_then_fit(gen_dist1(100, 1)),
+}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="ADMM diverges on this 38 000-wide covariate span "
+                            "(residuals ~1e54) and only warns of the crossing"))
+    if name == "cauchy-x" else name
+    for name in EDGE_INPUTS
+])
+def test_edge_inputs_fit_or_raise_one_value_error(name):
+    # the one warning allowed is ADMM's small crossing when its iteration
+    # budget runs out unconverged (5e-6 to 4e-5 on the inputs seen so far)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            band, _ = EDGE_INPUTS[name]()
+        except ValueError:
+            band = None
+    for w in caught:
+        assert "non-crossing violated" in str(w.message), str(w.message)
+    if band is not None:
+        assert np.all(np.isfinite(band.upper)) and np.all(np.isfinite(band.lower))
+        assert band.noncross_violation <= 1e-3
+
+
+def test_an_observation_left_out_by_the_subsample_names_the_cap():
+    data = skewed_covariate(2000)
+    message = (r"^no kernel support at x0=769\.6986181969256: .*; the conditional "
+               r"distributions use cap=1000 of the 2000 observations, and a cap of "
+               r"at least 2000 keeps every observation in its own conditional distribution$")
+    with pytest.raises(ValueError, match=message):
+        fit_band(data, cap=1000)
+    band, _ = fit_band(data, cap=2000)
+    assert np.all(np.isfinite(band.upper)) and np.all(np.isfinite(band.lower))
+    # a query that is no observation keeps the reference's text, with or
+    # without a subsample
+    for cap in (1000, 2000):
+        with pytest.raises(ValueError, match=r"^no kernel support at x0=-100\.0: all "
+                                             r"weights underflow at bandwidth 0\.5$"):
+            estimate_intervals_at(data, [-100.0], 0.5, 0.5, cap=cap)
 
 
 def test_midpoint_tracks_conditional_median():
