@@ -106,7 +106,7 @@ def _basis(args, data: Dataset) -> SplineBasis:
         raise ValueError("--knot-min and --knot-max must be given together")
     if lo is None:
         lo, hi = float(data.x.min()), float(data.x.max())
-    return SplineBasis.uniform(lo, hi, args.segments, args.degree, args.smoothness)
+    return SplineBasis.uniform(lo, hi, args.segments)
 
 
 def _write_band_csv(path: str, band, grid: np.ndarray) -> None:
@@ -260,11 +260,7 @@ def _add_fit_params(sub, knot_grid: bool = True) -> None:
                      help="target coverage (default %(default)s)")
     if knot_grid:
         sub.add_argument("--segments", type=int, default=20,
-                         help="spline segments (default %(default)s)")
-        sub.add_argument("--degree", type=int, default=3,
-                         help="polynomial degree (default %(default)s)")
-        sub.add_argument("--smoothness", type=int, default=2,
-                         help="continuous derivative order at knots (default %(default)s)")
+                         help="C^2 cubic spline segments (default %(default)s)")
     sub.add_argument("--cap", type=int, default=1000,
                      help="largest sample used for conditional CDFs (default %(default)s)")
     sub.add_argument("--iters", type=int, default=1000,

@@ -19,7 +19,7 @@ import numpy as np
 from .intervals import QuantileLevelSet, _check_alpha, _check_cap, estimate_levels_all
 from .kde import Dataset, density_weights, select_bandwidth
 from .solver import FittedBand, _check_iters, _check_penalty, admm_fit, assemble
-from .spline import SplineBasis, _check_degree, _check_segments
+from .spline import SplineBasis
 
 __all__ = [
     "Step1Result",
@@ -89,12 +89,10 @@ def run_step2(
 
 
 def _basis_for(data: Dataset, basis: SplineBasis | None) -> SplineBasis:
-    """``basis``, refused unless stage 2 can fit it and it covers x, or by
-    default 20 uniform C^2 cubic segments over x's range."""
+    """``basis``, refused unless it covers x, or by default 20 uniform C^2
+    cubic segments over x's range."""
     if basis is None:
         return SplineBasis.uniform(float(data.x.min()), float(data.x.max()))
-    _check_degree(basis)  # in the order assemble meets them
-    _check_segments(basis)
     basis.segment_index(data.x)  # raises for x outside the knots
     return basis
 
@@ -185,11 +183,8 @@ def load_model(path: str):
     try:
         with open(path) as handle:  # OSError passes through to the caller
             payload = json.load(handle)
-        basis = SplineBasis(
-            np.asarray(payload["knots"], dtype=float),
-            int(payload["degree"]),
-            int(payload["smoothness"]),
-        )
+        basis = SplineBasis(np.asarray(payload["knots"], dtype=float))
+        order = int(payload["degree"]), int(payload["smoothness"])
         upper = np.asarray(payload["upper"], dtype=float)
         lower = np.asarray(payload["lower"], dtype=float)
         residuals = payload.get("residuals", {})
@@ -202,6 +197,9 @@ def load_model(path: str):
     except (TypeError, ValueError, AttributeError) as exc:
         # not JSON text, a field of the wrong JSON type, or a top level that is no object
         raise ValueError(f"model file {path} is malformed: {exc}") from exc
+    if order != (basis.degree, basis.smoothness):
+        raise ValueError(f"model file {path} holds splines of degree {order[0]} and smoothness "
+                         f"{order[1]}; only C^2 cubics (degree 3, smoothness 2) load")
     if upper.shape != (basis.size,) or lower.shape != (basis.size,):
         raise ValueError(
             f"model file {path} has inconsistent coefficient counts"

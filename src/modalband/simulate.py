@@ -259,7 +259,7 @@ def run_replications(config: SimConfig) -> list[RepResult]:
     and skipped; more than 10% failures aborts the experiment.
     """
     truth = true_band(config.dist, config.alpha, default_truth_grid())
-    basis = SplineBasis.uniform(*_DOMAIN)  # one null space for every replication
+    basis = SplineBasis.uniform(*_DOMAIN)  # one B-spline map for every replication
     results: list[RepResult] = []
     failures: list[tuple[int, str]] = []
     for rep in range(config.replications):

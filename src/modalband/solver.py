@@ -6,12 +6,12 @@ per-observation levels plus a curvature penalty,
 
     sum_i w_i J_{p_i}(y_i - (A c)_i) + lambda * c' Q c,
 
-subject to continuity at the knots up to the smoothness order and the
-segmentwise non-crossing condition (G c >= 0).  Continuity holds by
-construction: each curve is N theta, with N the basis's ``null_space``,
-built once per basis, so the program is stored in theta coordinates with
-2r unknowns instead of 2m (46 instead of 160 for 20 C^2 cubic segments).
-Splitting with z1 = A N theta and z2 = G N theta gives ADMM updates, at
+subject to C^2 continuity at the knots and the segmentwise non-crossing
+condition (G c >= 0).  Continuity holds by construction: each curve is
+P theta, with theta its cubic B-spline coefficients and P the basis's
+``null_space``, so the program has 2r unknowns instead of 2m (46 instead
+of 160 for 20 segments), and row i of A P holds the B-splines at x_i.
+Splitting with z1 = A P theta and z2 = G P theta gives ADMM updates, at
 step size 1, in which z1 is a componentwise quantile-loss proximal step
 and z2 a projection onto the nonnegative orthant.  The theta-update is an
 unconstrained least-squares problem whose 2r x 2r normal matrix is
@@ -31,7 +31,7 @@ from .intervals import QuantileLevelSet
 from .kde import Dataset
 from .spline import (
     SplineBasis,
-    design_matrix,
+    _bspline_rows,
     eval_spline,
     noncross_matrix,
     penalty_matrix,
@@ -50,12 +50,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MirProblem:
-    """Assembled program for one band fit, in theta coordinates.
+    """Assembled program for one band fit, in B-spline coordinates theta.
 
-    With N = ``basis.null_space`` (m x r), both curves share the design
-    ``AN`` = A N (n x r) and the penalty ``QN`` = N'Q N (r x r); ``GN`` = G N
-    (m x r) holds the non-crossing rows on theta_up - theta_low.  ``p``, ``y``
-    and ``w`` stack the upper-curve rows first, then the lower-curve rows.
+    With P = ``basis.null_space`` (m x r), both curves share the design
+    ``AN`` = A P (n x r), the B-splines at x, and the penalty ``QN`` = P'Q P;
+    ``GN`` = G P (m x r) holds the non-crossing rows on theta_up - theta_low.
+    ``p``, ``y`` and ``w`` stack the upper-curve rows first, then the lower.
+    ``empty_segments`` counts the knot segments that hold no observation.
     """
 
     AN: np.ndarray
@@ -67,6 +68,7 @@ class MirProblem:
     lam: float
     basis: SplineBasis
     n: int
+    empty_segments: int
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,9 @@ def assemble(
 ) -> MirProblem:
     """Build the program coupling the two bound curves.
 
-    Stores the single-curve design, penalty and non-crossing blocks mapped
-    onto the basis's continuity null space.  Level order matches the
-    stacking: upper-curve levels first, then lower-curve levels.
+    Stores the single-curve design, penalty and non-crossing blocks in the
+    basis's B-spline coordinates.  Level order matches the stacking:
+    upper-curve levels first, then lower-curve levels.
     """
     weights = np.asarray(weights, dtype=float)
     n = len(data)
@@ -134,20 +136,20 @@ def assemble(
         raise ValueError("weights must be positive and finite")
     _check_penalty(lam)
 
-    A = design_matrix(data.x, basis)  # raises when x leaves the knot range
-    Q = penalty_matrix(basis)
-    N = basis.null_space
+    seg = basis.segment_index(data.x)  # raises when x leaves the knot range
+    P = basis.null_space
 
     return MirProblem(
-        AN=A @ N,
-        QN=N.T @ Q @ N,
-        GN=noncross_matrix(basis) @ N,
+        AN=_bspline_rows(basis, seg, data.x - basis.knots[seg]),
+        QN=P.T @ penalty_matrix(basis) @ P,
+        GN=noncross_matrix(basis) @ P,
         p=np.concatenate([levels.p_up, levels.p_low]),
         y=np.concatenate([data.y, data.y]),
         w=np.concatenate([weights, weights]),
         lam=float(lam),
         basis=basis,
         n=n,
+        empty_segments=int(np.count_nonzero(np.bincount(seg, minlength=basis.segments) == 0)),
     )
 
 
@@ -171,11 +173,13 @@ def prox_quantile_loss(z, p, y, w, gamma):
 
 
 def objective(problem: MirProblem, c) -> float:
-    """Penalized quantile-loss objective at stacked coefficients (c_up, c_low),
-    evaluated at theta = N'c; refused when ||c - N N'c|| > 1e-9 (1 + ||c||)."""
+    """Penalized quantile-loss objective at stacked coefficients (c_up, c_low), evaluated
+    at theta solving P theta = c in least squares; refused when that leaves a
+    residual above 1e-9 (1 + ||c||)."""
     C = np.asarray(c, dtype=float).reshape(2, -1)
-    T = C @ problem.basis.null_space  # rows theta_up, theta_low
-    if np.linalg.norm(C - T @ problem.basis.null_space.T) > 1e-9 * (1.0 + np.linalg.norm(C)):
+    P = problem.basis.null_space
+    T = np.linalg.lstsq(P, C.T, rcond=None)[0].T  # rows theta_up, theta_low
+    if np.linalg.norm(C - T @ P.T) > 1e-9 * (1.0 + np.linalg.norm(C)):
         raise ValueError("coefficients are not continuous to the basis's smoothness order")
     r = problem.y - (T @ problem.AN.T).ravel()
     penalty = np.sum(T @ problem.QN * T)
@@ -188,8 +192,8 @@ _NONCROSS_GRID = 1001
 def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     """Run scaled ADMM on the assembled program for exactly ``iters`` steps.
 
-    The iterate is theta = (theta_up, theta_low), with each curve's
-    coefficients N theta, so continuity holds exactly at every iteration.
+    The iterate is theta = (theta_up, theta_low), the curves' B-spline
+    coefficients, so continuity holds exactly at every iteration.
     The theta-update solves an unconstrained quadratic subproblem with
     the inverse of its normal matrix, formed once from a Cholesky factor.
     There is no early stop: the primal and dual residual norms are those
@@ -215,13 +219,15 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     G = np.hstack([GN, -GN])  # non-crossing rows on theta_up - theta_low
 
     M = np.kron(np.eye(2), 2.0 * problem.lam * problem.QN + AN.T @ AN) + G.T @ G
+    empty = (f"{problem.empty_segments} of {problem.basis.segments} knot segments "
+             "hold no observation")
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"rank-deficient constraints: {exc}") from exc
+        raise ValueError(f"rank-deficient constraints: {exc}; {empty}") from exc
     pivots = np.diag(L) ** 2
     if pivots.min() <= pivots.max() * 1e-13:
-        raise ValueError("rank-deficient constraints: singular normal matrix")
+        raise ValueError(f"rank-deficient constraints: singular normal matrix; {empty}")
     L_inv = np.linalg.inv(L)
     M_inv = L_inv.T @ L_inv
 
@@ -276,8 +282,8 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     if not (np.all(np.isfinite(theta)) and np.isfinite(primal) and np.isfinite(dual)):
         raise RuntimeError(f"non-finite iterates after {iters} iterations")
 
-    N = problem.basis.null_space
-    upper, lower = N @ theta[:r], N @ theta[r:]
+    P = problem.basis.null_space
+    upper, lower = P @ theta[:r], P @ theta[r:]
     grid = np.linspace(problem.basis.knots[0], problem.basis.knots[-1], _NONCROSS_GRID)
     gap = eval_spline(upper, problem.basis, grid) - eval_spline(lower, problem.basis, grid)
     violation = float(max(0.0, -gap.min()))

@@ -1,22 +1,22 @@
-"""Piecewise-polynomial spline primitives in normalized segment form.
+"""C^2 cubic spline primitives in normalized segment form.
 
 A spline on knots xi_0 < ... < xi_b is stored segment-major: segment j
-(width D_j = xi_j - xi_{j-1}) carries d+1 coefficients of the local
-polynomial
+(width D_j = xi_j - xi_{j-1}) carries the 4 coefficients of the local cubic
 
     u_j(x) = sum_k c_k<j> * t^k,   t = (x - xi_{j-1}) / D_j in [0, 1].
 
 Segments are right-closed: a knot belongs to the segment ending at it,
-except xi_0 which belongs to the first segment.  This module builds the
-three structural matrices of the band-fitting program: cross-knot
-continuity constraints up to a smoothness order, the exact curvature
-penalty integral, and a per-segment sufficient condition for pointwise
-nonnegativity of a polynomial on its segment.
+except xi_0 which belongs to the first segment.  The fit's unknowns are
+the b + 3 cubic B-spline coefficients on the clamped knot vector, which
+``SplineBasis.null_space`` maps to segment-local powers.  This module also
+builds the exact curvature penalty integral, a per-segment sufficient
+condition for nonnegativity of a cubic on its segment, and the power-form
+design and continuity rows that the map is checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 
@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "SplineBasis",
+    "bspline_matrix",
     "design_matrix",
     "continuity_matrix",
     "penalty_matrix",
@@ -34,11 +35,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity, like null_space's cache
 class SplineBasis:
-    """Knot grid, degree and smoothness order; owns its continuity null space, built once."""
+    """Knot grid of C^2 cubic splines; owns its B-spline map, built once."""
 
     knots: np.ndarray
-    degree: int = 3
-    smoothness: int = 2
+    degree = 3  # class constants, not fields: every fit is a C^2 cubic
+    smoothness = 2
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
@@ -48,23 +49,16 @@ class SplineBasis:
             raise ValueError("knots must be finite")
         if np.any(np.diff(knots) <= 0.0):
             raise ValueError("knots must be strictly increasing")
-        if self.degree < 1:
-            raise ValueError(f"degree must be at least 1, got {self.degree}")
-        if not 0 <= self.smoothness <= self.degree:
-            raise ValueError(
-                f"smoothness must lie in [0, degree], got {self.smoothness}"
-            )
         object.__setattr__(self, "knots", knots)
 
     @classmethod
-    def uniform(cls, lo: float, hi: float, segments: int = 20,
-                degree: int = 3, smoothness: int = 2) -> "SplineBasis":
+    def uniform(cls, lo: float, hi: float, segments: int = 20) -> "SplineBasis":
         """Equally spaced knots spanning [lo, hi]."""
         if segments < 1:
             raise ValueError(f"segments must be at least 1, got {segments}")
         if not lo < hi:
             raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-        return cls(np.linspace(lo, hi, segments + 1), degree, smoothness)
+        return cls(np.linspace(lo, hi, segments + 1))
 
     @property
     def segments(self) -> int:
@@ -93,13 +87,44 @@ class SplineBasis:
 
     @cached_property
     def null_space(self) -> np.ndarray:
-        """Orthonormal basis N (size x r) of null(continuity_matrix), read-only since
-        every fit shares it; rank counts singular values > max(H.shape) * eps * s_max."""
-        H = continuity_matrix(self)
-        _, s, vh = np.linalg.svd(H)
-        N = vh[int(np.sum(s > max(H.shape) * np.finfo(float).eps * s[0])):].T
-        N.setflags(write=False)
-        return N
+        """The map P (size x segments + 3) from B-spline coefficients to segment-local
+        powers, spanning null(continuity_matrix): per segment, the 4 x 4 Vandermonde
+        solve of its B-splines at t = 0, 1/3, 2/3, 1.  Read-only, as every fit shares it."""
+        b, t = self.segments, np.linspace(0.0, 1.0, 4)
+        rows = _bspline_rows(self, np.repeat(np.arange(b), 4), (self.widths[:, None] * t).ravel())
+        P = np.linalg.solve(np.vander(t, 4, increasing=True), rows.reshape(b, 4, b + 3))
+        P = P.reshape(self.size, b + 3)
+        P.setflags(write=False)
+        return P
+
+
+def _bspline_rows(basis: SplineBasis, seg: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The segments + 3 cubic B-splines on the clamped knot vector at offset
+    u into segment ``seg``, by de Boor's recursion; four per row are nonzero."""
+    tau = np.pad(basis.knots, 3, mode="edge")
+    k = np.arange(1, 4)[:, None]
+    start = basis.knots[seg]  # tau[mu], with x = start + u in [tau[mu], tau[mu + 1]]
+    right = (tau[seg + 3 + k] - start) - u  # tau[mu + k] - x
+    left = u - (tau[seg + 4 - k] - start)   # x - tau[mu + 1 - k]
+    values = np.zeros((4, u.size))
+    values[0] = 1.0
+    for d in range(1, 4):
+        saved = 0.0
+        for r in range(d):
+            term = values[r] / (right[r] + left[d - 1 - r])
+            values[r] = saved + right[r] * term
+            saved = left[d - 1 - r] * term
+        values[d] = saved
+    rows = np.zeros((u.size, basis.segments + 3))
+    np.put_along_axis(rows, seg[:, None] + np.arange(4), values.T, axis=1)
+    return rows
+
+
+def bspline_matrix(x, basis: SplineBasis) -> np.ndarray:
+    """B-spline rows: row k dotted with B-spline coefficients gives the spline at x[k]."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    seg = basis.segment_index(x)
+    return _bspline_rows(basis, seg, x - basis.knots[seg])
 
 
 def design_matrix(x, basis: SplineBasis) -> np.ndarray:
@@ -115,16 +140,6 @@ def design_matrix(x, basis: SplineBasis) -> np.ndarray:
     return rows
 
 
-def _check_segments(basis: SplineBasis) -> None:
-    if basis.segments < 2:
-        raise ValueError("continuity constraints need at least 2 segments")
-
-
-def _check_degree(basis: SplineBasis) -> None:
-    if basis.degree < 2:
-        raise ValueError("curvature penalty needs degree at least 2")
-
-
 def continuity_matrix(basis: SplineBasis) -> np.ndarray:
     """Constraint rows forcing derivative agreement at interior knots.
 
@@ -133,7 +148,6 @@ def continuity_matrix(basis: SplineBasis) -> np.ndarray:
     g-th derivative of the right segment at its left edge.  A coefficient
     vector c is continuous to the smoothness order iff H @ c = 0.
     """
-    _check_segments(basis)
     b, d, rho = basis.segments, basis.degree, basis.smoothness
     widths = basis.widths
     H = np.zeros(((b - 1) * (rho + 1), basis.size))
@@ -154,7 +168,6 @@ def penalty_matrix(basis: SplineBasis) -> np.ndarray:
     k, g >= 2 is k(k-1)g(g-1) / (D_j^3 (k+g-3)), the exact integral of
     t^(k-2) * t^(g-2) curvature products.  Always symmetric PSD.
     """
-    _check_degree(basis)
     d = basis.degree
     widths = basis.widths
     Q = np.zeros((basis.size, basis.size))
@@ -181,15 +194,9 @@ def noncross_matrix(basis: SplineBasis) -> np.ndarray:
     the other.
     """
     d = basis.degree
-    G = np.zeros((basis.size, basis.size))
-    for j in range(basis.segments):
-        base = j * (d + 1)
-        for g in range(d + 1):
-            for k in range(g + 1):
-                G[base + g, base + k] = (
-                    factorial(d - k) / (factorial(d - g) * factorial(g - k))
-                )
-    return G
+    block = [[factorial(d - k) / (factorial(d - g) * factorial(g - k)) if k <= g else 0.0
+              for k in range(d + 1)] for g in range(d + 1)]
+    return np.kron(np.eye(basis.segments), block)
 
 
 def eval_spline(coeffs, basis: SplineBasis, x):

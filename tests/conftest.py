@@ -6,6 +6,7 @@ Acceptance tests append one line per criterion to ``ACCEPTANCE_LINES`` and
 the terminal-summary hook prints them at the end of the run.
 """
 
+import functools
 import time
 
 import pytest
@@ -74,21 +75,19 @@ def size_sweep():
 
 
 @pytest.fixture
-def continuity_calls(monkeypatch):
-    """Every basis passed to spline.continuity_matrix, one entry per build.
-
-    The solver module is patched too, in case it imports the function again,
-    so a build there is counted rather than missed.
-    """
-    from modalband import solver, spline
+def null_space_builds(monkeypatch):
+    """Every basis whose B-spline map ``SplineBasis.null_space`` was built,
+    one entry per build."""
+    from modalband.spline import SplineBasis
 
     calls = []
-    real = spline.continuity_matrix
+    build = SplineBasis.__dict__["null_space"].func
 
     def counted(basis):
         calls.append(basis)
-        return real(basis)
+        return build(basis)
 
-    monkeypatch.setattr(spline, "continuity_matrix", counted)
-    monkeypatch.setattr(solver, "continuity_matrix", counted, raising=False)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(SplineBasis, "null_space")
+    monkeypatch.setattr(SplineBasis, "null_space", prop)
     return calls

@@ -140,7 +140,7 @@ def test_criterion_06_penalty_matrix_oracle():
         segments = int(rng.integers(1, 5))
         widths = rng.uniform(0.3, 2.0, segments)
         knots = rng.uniform(-2.0, 2.0) + np.cumsum(np.concatenate([[0.0], widths]))
-        basis = SplineBasis(knots, degree=3, smoothness=2)
+        basis = SplineBasis(knots)
         coeffs = rng.normal(size=basis.size)
         quadratic_form = coeffs @ penalty_matrix(basis) @ coeffs
 
@@ -218,7 +218,7 @@ def test_criterion_09_noncross_sufficiency():
     for _ in range(100):
         segments = int(rng.integers(1, 5))
         knots = np.cumsum(np.concatenate([[0.0], rng.uniform(0.2, 3.0, segments)]))
-        basis = SplineBasis(knots, degree=3, smoothness=2)
+        basis = SplineBasis(knots)
         G = noncross_matrix(basis)
         grid = design_matrix(np.linspace(knots[0], knots[-1], 1000), basis)
         lower = rng.normal(size=(basis.size, 100))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -129,15 +130,54 @@ def test_band_respects_grid_flags(xy_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_fit_degree_and_smoothness_flags_shape_the_model(xy_csv, tmp_path, capsys):
-    model, band = run_fit(xy_csv, tmp_path, "--degree", "2", "--smoothness", "1")
+def test_fit_one_segment_writes_one_cubic_band(xy_csv, tmp_path, capsys, recwarn):
+    model, band = run_fit(xy_csv, tmp_path, "--segments", "1")
     payload = json.loads(model.read_text())
-    assert (payload["degree"], payload["smoothness"]) == (2, 1)
-    assert len(payload["upper"]) == len(payload["lower"]) == 30  # 10 segments x 3
-    again = tmp_path / "band2.csv"
-    assert main(["band", "--model", str(model), "--output", str(again)]) == 0
-    assert again.read_bytes() == band.read_bytes()
+    assert len(payload["knots"]) == 2
+    assert len(payload["upper"]) == len(payload["lower"]) == 4
+    assert np.all(np.isfinite(payload["upper"] + payload["lower"]))
+    _, rows = read_table(band)
+    assert all(float(upper) >= float(lower) for _, lower, upper, _ in rows)
+    assert not recwarn.list  # no crossing warning
     capsys.readouterr()
+
+
+# A cubic model file as every earlier release wrote it: "degree" and
+# "smoothness" beside the knots, and the last iterate's residuals.
+PARENT_MODEL = {
+    "knots": [0.0, 5.0, 10.0], "degree": 3, "smoothness": 2,
+    "upper": [2.0, 1.0, 0.0, 0.0, 3.0, 1.0, 0.0, 0.0],
+    "lower": [0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0],
+    "config": {"alpha": 0.5, "lambda": 0.01},
+    "residuals": {"iterations": 1000, "primal": 1e-3, "dual": 2e-2, "noncross_violation": 0.0},
+}
+
+
+def test_a_cubic_model_file_of_an_earlier_release_loads_unchanged(tmp_path):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(PARENT_MODEL, indent=2) + "\n")
+    band, config = load_model(str(model))
+    assert np.array_equal(band.basis.knots, PARENT_MODEL["knots"])
+    assert np.array_equal(band.upper, PARENT_MODEL["upper"])
+    assert np.array_equal(band.lower, PARENT_MODEL["lower"])
+    assert (band.iterations, band.dual_residual) == (1000, 2e-2)
+    assert config == PARENT_MODEL["config"]
+    assert band.upper_at(7.5) == pytest.approx(3.5)
+
+
+@pytest.mark.parametrize("field, value", [("degree", 2), ("smoothness", 1)])
+def test_a_model_file_that_is_no_c2_cubic_is_refused_by_name(tmp_path, capsys, field, value):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({**PARENT_MODEL, field: value}))
+    order = {"degree": 3, "smoothness": 2, field: value}
+    message = (f"model file {model} holds splines of degree {order['degree']} and "
+               f"smoothness {order['smoothness']}; only C^2 cubics (degree 3, smoothness 2) load")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_model(str(model))
+    out = tmp_path / "out.csv"
+    assert main(["band", "--model", str(model), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_band_rejects_grid_outside_fitted_domain(xy_csv, tmp_path, capsys):
@@ -246,11 +286,12 @@ def test_fit_rejects_bad_grid_points_before_stage_one(xy_csv, tmp_path, capsys, 
     assert not (tmp_path / "b.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["fit", "cv"])
-@pytest.mark.parametrize("flags, message", [
-    (["--segments", "1"], "continuity constraints need at least 2 segments"),
-    (["--degree", "1", "--smoothness", "1"], "curvature penalty needs degree at least 2"),
-], ids=["one-segment", "linear"])
+@pytest.mark.parametrize("command, flags, message", [
+    ("fit", ["--segments", "0"], "segments must be at least 1, got 0"),
+    ("cv", ["--segments", "0"], "segments must be at least 1, got 0"),
+    # cv has no knot range options: its grid always spans x
+    ("fit", ["--knot-min", "0", "--knot-max", "5"], "outside the knot range [0.0, 5.0]"),
+], ids=["no-segments-fit", "no-segments-cv", "uncovered-fit"])
 def test_fit_and_cv_refuse_an_unfittable_basis_before_the_bandwidth(
     xy_csv, tmp_path, capsys, recwarn, monkeypatch, command, flags, message
 ):
@@ -261,7 +302,9 @@ def test_fit_and_cv_refuse_an_unfittable_basis_before_the_bandwidth(
         "cv": ["cv", "--input", str(xy_csv), "--output", str(out), "--seed", "1"],
     }[command]
     assert main(argv + flags) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
+    assert len(err.splitlines()) == 1
     assert not recwarn.list  # nothing was fitted
     assert not list(tmp_path.iterdir())
 

@@ -173,10 +173,10 @@ def test_config_validation():
 # replication harness
 # ---------------------------------------------------------------------------
 
-def test_replications_build_the_continuity_null_space_once(continuity_calls):
+def test_replications_build_the_continuity_null_space_once(null_space_builds):
     results = run_replications(tiny_config(replications=2, iterations=50))
     assert len(results) == 4  # two replications, band and comparator arms
-    assert len(continuity_calls) == 1
+    assert len(null_space_builds) == 1
 
 
 def test_replications_deterministic_up_to_timing():

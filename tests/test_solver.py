@@ -20,6 +20,7 @@ from modalband.solver import (
 )
 from modalband.spline import (
     SplineBasis,
+    bspline_matrix,
     continuity_matrix,
     design_matrix,
     eval_spline,
@@ -31,7 +32,7 @@ from modalband.spline import (
 def small_problem(n=3, lam=1e-2):
     data = Dataset([0.2, 1.0, 1.7], [1.0, 2.0, 3.0])
     levels = QuantileLevelSet([0.2, 0.25, 0.3], [0.7, 0.75, 0.8])
-    basis = SplineBasis([0.0, 1.0, 2.0], degree=3, smoothness=2)
+    basis = SplineBasis([0.0, 1.0, 2.0])
     return assemble(data, levels, np.ones(n), basis, lam), data, levels, basis
 
 
@@ -46,7 +47,9 @@ def test_assemble_block_shapes():
     assert problem.GN.shape == (8, 5)
     assert basis.null_space.shape == (8, 5)
     assert not hasattr(problem, "A") and not hasattr(problem, "N")
-    assert np.array_equal(problem.AN, design_matrix(data.x, basis) @ basis.null_space)
+    assert np.array_equal(problem.AN, bspline_matrix(data.x, basis))
+    assert np.allclose(problem.AN, design_matrix(data.x, basis) @ basis.null_space,
+                       rtol=0.0, atol=1e-14)
     assert problem.n == 3
     assert np.array_equal(problem.p, [0.7, 0.75, 0.8, 0.2, 0.25, 0.3])
     assert np.array_equal(problem.y, np.tile(data.y, 2))
@@ -56,31 +59,30 @@ def test_assemble_block_shapes():
 def test_assemble_blocks_match_single_curve_matrices():
     data = Dataset(np.linspace(0.1, 2.9, 6), np.arange(6.0))
     levels = QuantileLevelSet(np.full(6, 0.25), np.full(6, 0.75))
-    # (segments, degree, smoothness, null-space dimension); 20 C^2 cubics give 23
-    for segments, degree, smoothness, dim in [(2, 3, 2, 5), (20, 3, 2, 23),
-                                              (7, 2, 1, 9), (5, 4, 0, 21)]:
-        basis = SplineBasis.uniform(0.0, 3.0, segments, degree, smoothness)
+    # segments + 3 B-spline coefficients per curve: 20 C^2 cubic segments give 23
+    for segments in (1, 2, 7, 20):
+        basis = SplineBasis.uniform(0.0, 3.0, segments)
         problem = assemble(data, levels, np.ones(6), basis, 1e-2)
-        N = basis.null_space
-        assert np.array_equal(problem.AN, design_matrix(data.x, basis) @ N)
-        assert np.array_equal(problem.QN, N.T @ penalty_matrix(basis) @ N)
-        assert np.array_equal(problem.GN, noncross_matrix(basis) @ N)
-        assert dim == (degree + 1) * segments - (smoothness + 1) * (segments - 1)
-        assert N.shape == (basis.size, dim)
-        assert np.allclose(N.T @ N, np.eye(dim), atol=1e-13)
-        assert np.max(np.abs(continuity_matrix(basis) @ N)) <= 1e-12
+        P = basis.null_space
+        dim = 4 * segments - 3 * (segments - 1)
+        assert P.shape == (basis.size, dim) == (basis.size, segments + 3)
+        assert np.allclose(problem.AN, design_matrix(data.x, basis) @ P, rtol=0.0, atol=1e-14)
+        assert np.array_equal(problem.QN, P.T @ penalty_matrix(basis) @ P)
+        assert np.array_equal(problem.GN, noncross_matrix(basis) @ P)
+        assert np.max(np.abs(continuity_matrix(basis) @ P), initial=0.0) <= 1e-12
 
 
 def test_assemble_design_evaluates_both_curves():
     problem, data, levels, basis = small_problem()
     rng = np.random.default_rng(3)
-    # continuous coefficients N theta, the only ones the program represents
-    upper = basis.null_space @ rng.normal(size=5)
+    # continuous coefficients P theta, the only ones the program represents
+    theta_up = rng.normal(size=5)
+    upper = basis.null_space @ theta_up
     lower = basis.null_space @ rng.normal(size=5)
     A = design_matrix(data.x, basis)
     assert np.allclose(A @ upper, eval_spline(upper, basis, data.x), atol=1e-14)
     assert np.allclose(A @ lower, eval_spline(lower, basis, data.x), atol=1e-14)
-    assert np.allclose(problem.AN @ (basis.null_space.T @ upper), A @ upper, atol=1e-14)
+    assert np.allclose(problem.AN @ theta_up, A @ upper, atol=1e-14)
     # the objective pairs the upper curve with p_up and the lower with p_low
     loss = (quantile_loss(data.y - eval_spline(upper, basis, data.x), levels.p_up).sum()
             + quantile_loss(data.y - eval_spline(lower, basis, data.x), levels.p_low).sum())
@@ -174,7 +176,7 @@ def test_objective_hand_check_at_zero():
 
 
 def test_objective_refuses_discontinuous_coefficients():
-    # a jump at the middle knot: theta = N'c would drop it without notice
+    # a jump at the middle knot: no theta gives it, so P theta = c has no solution
     problem, data, levels, basis = small_problem()
     jump = np.zeros(16)
     jump[4] = 1.0  # constant term of the second segment of the upper curve
@@ -272,16 +274,21 @@ def test_negative_integer_seed_is_refused_before_the_bandwidth(no_bandwidth, n):
             run_step1(data, rng=seed)
 
 
-@pytest.mark.parametrize("basis, message", [
-    (SplineBasis([0.0, 10.0]), "continuity constraints need at least 2 segments"),
-    (SplineBasis.uniform(0.0, 10.0, degree=1, smoothness=1),
-     "curvature penalty needs degree at least 2"),
-], ids=["one-segment", "linear"])
-def test_fit_band_refuses_an_unfittable_basis_before_the_bandwidth(
-    no_bandwidth, basis, message
-):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        fit_band(gen_dist1(100, 1), basis=basis)
+def test_fit_band_refuses_an_unfittable_basis_before_the_bandwidth(no_bandwidth):
+    with pytest.raises(ValueError, match=r"^point \S+ outside the knot range \[0\.0, 5\.0\]$"):
+        fit_band(gen_dist1(100, 1), basis=SplineBasis.uniform(0.0, 5.0))
+
+
+def test_one_segment_fits_one_cubic_band():
+    data = gen_dist1(500, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        band, _ = fit_band(data, basis=SplineBasis.uniform(0.0, 10.0, 1))
+    assert band.upper.shape == band.lower.shape == (4,)
+    assert np.all(np.isfinite(band.upper)) and np.all(np.isfinite(band.lower))
+    grid = np.linspace(0.0, 10.0, 1001)
+    assert band.noncross_violation == 0.0
+    assert np.all(band.upper_at(grid) >= band.lower_at(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +340,7 @@ EDGE_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(
-        strict=True, reason="ADMM diverges on this 38 000-wide covariate span "
-                            "(residuals ~1e54) and only warns of the crossing"))
-    if name == "cauchy-x" else name
-    for name in EDGE_INPUTS
-])
+@pytest.mark.parametrize("name", EDGE_INPUTS)
 def test_edge_inputs_fit_or_raise_one_value_error(name):
     # the one warning allowed is ADMM's small crossing when its iteration
     # budget runs out unconverged (5e-6 to 4e-5 on the inputs seen so far)
@@ -354,6 +355,22 @@ def test_edge_inputs_fit_or_raise_one_value_error(name):
     if band is not None:
         assert np.all(np.isfinite(band.upper)) and np.all(np.isfinite(band.lower))
         assert band.noncross_violation <= 1e-3
+
+
+def test_a_covariate_that_leaves_most_segments_empty_is_refused_and_says_so():
+    # 18 of the 20 uniform segments over the Cauchy draw's 38 000-wide span
+    # hold no observation: their B-splines are pinned only by the penalty,
+    # ~1e-12 at these widths, so the normal matrix is numerically singular
+    message = (r"^rank-deficient constraints: singular normal matrix; "
+               r"18 of 20 knot segments hold no observation$")
+    with pytest.raises(ValueError, match=message):
+        fit_band(cauchy_covariate(500))
+    # the lognormal draw leaves 13 of 20 empty and still fits
+    data = skewed_covariate(500)
+    basis = SplineBasis.uniform(data.x.min(), data.x.max())
+    assert np.unique(basis.segment_index(data.x)).size == 20 - 13
+    band, _ = fit_band(data, basis=basis)
+    assert np.all(np.isfinite(band.upper)) and np.all(np.isfinite(band.lower))
 
 
 def test_an_observation_left_out_by_the_subsample_names_the_cap():
@@ -423,7 +440,7 @@ def kkt_admm_reference(problem, x, iters):
     """ADMM at step size 1 over all 2m coefficients of the dense design at
     x, continuity carried as KKT equality rows; returns the coefficients and
     the last iterate's primal and dual residual norms, the dual one in
-    null-space coordinates."""
+    B-spline coordinates."""
     linalg = pytest.importorskip("scipy.linalg")
     block_diag, lu_factor, lu_solve = linalg.block_diag, linalg.lu_factor, linalg.lu_solve
     basis = problem.basis

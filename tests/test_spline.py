@@ -1,10 +1,12 @@
-"""Spline design rows, continuity and penalty matrices, non-crossing rows."""
+"""Spline design rows, the B-spline map, continuity and penalty matrices,
+non-crossing rows."""
 
 import numpy as np
 import pytest
 
 from modalband.spline import (
     SplineBasis,
+    bspline_matrix,
     continuity_matrix,
     design_matrix,
     eval_spline,
@@ -13,10 +15,16 @@ from modalband.spline import (
 )
 
 
-def random_basis(rng, degree=3, smoothness=2, max_segments=6):
+def random_basis(rng, max_segments=6):
     segments = int(rng.integers(2, max_segments + 1))
     knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 2.0, segments))])
-    return SplineBasis(knots, degree, smoothness)
+    return SplineBasis(knots)
+
+
+def wide_basis(rng):
+    """1 to 24 segments whose widths span six decades, at an offset."""
+    widths = 10.0 ** rng.uniform(-3.0, 3.0, int(rng.integers(1, 25)))
+    return SplineBasis(rng.uniform(-5.0, 5.0) + np.concatenate([[0.0], np.cumsum(widths)]))
 
 
 def cubic_stencil_derivatives(coeffs, basis, knot, eps, side):
@@ -40,12 +48,15 @@ def test_basis_validation():
         SplineBasis([1.0])
     with pytest.raises(ValueError, match="strictly increasing"):
         SplineBasis([0.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="degree"):
-        SplineBasis([0.0, 1.0], degree=0)
-    with pytest.raises(ValueError, match="smoothness"):
-        SplineBasis([0.0, 1.0], degree=2, smoothness=3)
     with pytest.raises(ValueError, match="finite"):
         SplineBasis([0.0, np.inf])
+    # every basis is a C^2 cubic: the order is a read-only constant, no argument
+    basis = SplineBasis([0.0, 1.0])
+    assert (basis.degree, basis.smoothness) == (3, 2)
+    with pytest.raises(AttributeError):
+        basis.degree = 2
+    with pytest.raises(TypeError):
+        SplineBasis([0.0, 1.0], 2)
 
 
 def test_uniform_basis_construction():
@@ -60,7 +71,7 @@ def test_uniform_basis_construction():
 
 
 def test_basis_compares_and_hashes_by_identity():
-    # the null space is cached per object, so two bases on equal knots are
+    # the B-spline map is cached per object, so two bases on equal knots are
     # two keys, and comparing them does not reach the knot arrays
     a, b = SplineBasis.uniform(0.0, 1.0), SplineBasis.uniform(0.0, 1.0)
     assert a == a and a != b
@@ -68,7 +79,7 @@ def test_basis_compares_and_hashes_by_identity():
 
 
 def test_segment_index_right_closed():
-    basis = SplineBasis([0.0, 1.0, 2.0], degree=3)
+    basis = SplineBasis([0.0, 1.0, 2.0])
     assert np.array_equal(basis.segment_index([0.0, 0.5, 1.0, 1.5, 2.0]),
                           [0, 0, 0, 1, 1])
     with pytest.raises(ValueError, match="outside the knot range"):
@@ -80,7 +91,7 @@ def test_segment_index_right_closed():
 # ---------------------------------------------------------------------------
 
 def test_design_row_at_segment_edges():
-    basis = SplineBasis([0.0, 1.0, 2.0], degree=3)
+    basis = SplineBasis([0.0, 1.0, 2.0])
     assert np.array_equal(design_matrix([1.0], basis)[0],
                           [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     assert np.array_equal(design_matrix([0.0], basis)[0],
@@ -88,7 +99,7 @@ def test_design_row_at_segment_edges():
 
 
 def test_design_row_at_unit_segment_midpoint():
-    basis = SplineBasis([0.0, 1.0, 2.0], degree=3)
+    basis = SplineBasis([0.0, 1.0, 2.0])
     assert np.array_equal(design_matrix([0.5], basis)[0, :4], [1.0, 0.5, 0.25, 0.125])
 
 
@@ -102,9 +113,62 @@ def test_design_matrix_stacks_rows():
 
 
 def test_design_row_rejects_out_of_range():
-    basis = SplineBasis([0.0, 1.0], degree=2)
+    basis = SplineBasis([0.0, 1.0])
     with pytest.raises(ValueError, match="outside the knot range"):
         design_matrix([1.5], basis)
+    with pytest.raises(ValueError, match="outside the knot range"):
+        bspline_matrix([-0.5], basis)
+
+
+# ---------------------------------------------------------------------------
+# B-spline rows and the map to local powers
+# ---------------------------------------------------------------------------
+
+def test_bspline_rows_match_scipy():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(28)
+    for _ in range(50):
+        basis = wide_basis(rng)
+        knots = basis.knots
+        x = np.concatenate([rng.uniform(knots[0], knots[-1], 100), knots])
+        rows = bspline_matrix(x, basis)
+        clamped = np.concatenate([[knots[0]] * 3, knots, [knots[-1]] * 3])
+        expected = interpolate.BSpline(clamped, np.eye(basis.segments + 3), 3)(x)
+        assert np.max(np.abs(rows - expected)) <= 1e-14
+        # at most four nonzero B-splines, the partition of unity
+        assert np.all(np.count_nonzero(rows, axis=1) <= 4)
+        assert rows.min() >= 0.0
+        assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-14
+
+
+def test_null_space_maps_bsplines_to_local_powers():
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        basis = wide_basis(rng)
+        P = basis.null_space
+        assert P.shape == (basis.size, basis.segments + 3)
+        # continuous to second order, relative to each constraint row's scale
+        H = continuity_matrix(basis)
+        if H.size:
+            scale = np.abs(H).max(axis=1)
+            assert np.max(np.abs(H @ P).max(axis=1) / scale) <= 1e-12
+        # P's powers evaluate to the B-splines themselves
+        x = rng.uniform(basis.knots[0], basis.knots[-1], 100)
+        assert np.max(np.abs(design_matrix(x, basis) @ P - bspline_matrix(x, basis))) <= 1e-12
+
+
+def test_null_space_spans_the_continuity_null_space():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        basis = random_basis(rng, max_segments=20)
+        P = basis.null_space
+        N = linalg.null_space(continuity_matrix(basis))
+        assert N.shape[1] == P.shape[1] == basis.segments + 3
+        assert np.max(np.abs(N @ (N.T @ P) - P)) <= 1e-12 * np.abs(P).max()
+    # one segment has no constraint: P maps onto every cubic
+    P = SplineBasis([0.0, 2.0]).null_space
+    assert np.linalg.matrix_rank(P) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +176,16 @@ def test_design_row_rejects_out_of_range():
 # ---------------------------------------------------------------------------
 
 def test_continuity_value_row_unit_widths():
-    basis = SplineBasis([0.0, 1.0, 2.0], degree=3, smoothness=0)
+    basis = SplineBasis([0.0, 1.0, 2.0])
     H = continuity_matrix(basis)
-    assert H.shape == (1, 8)
+    assert H.shape == (3, 8)
     assert np.array_equal(H[0], [1.0, 1.0, 1.0, 1.0, -1.0, 0.0, 0.0, 0.0])
 
 
 def test_continuity_row_count():
-    basis = SplineBasis([0.0, 0.7], degree=3, smoothness=2)
-    basis2 = SplineBasis([0.0, 0.7, 1.1], degree=3, smoothness=2)
-    with pytest.raises(ValueError, match="at least 2 segments"):
-        continuity_matrix(basis)
-    assert continuity_matrix(basis2).shape == (3, 8)
+    # one segment has no interior knot, so no constraint row
+    assert continuity_matrix(SplineBasis([0.0, 0.7])).shape == (0, 4)
+    assert continuity_matrix(SplineBasis([0.0, 0.7, 1.1])).shape == (3, 8)
 
 
 def test_continuity_null_space_gives_smooth_splines():
@@ -140,24 +202,23 @@ def test_continuity_null_space_gives_smooth_splines():
                 assert abs(a - b) < 1e-9 * max(1.0, abs(a))
 
 
-def test_null_space_is_built_once_and_read_only(continuity_calls):
+def test_null_space_is_built_once_and_read_only(null_space_builds):
     basis = SplineBasis.uniform(0.0, 3.0, segments=5)
-    N = basis.null_space
-    assert basis.null_space is N
-    assert continuity_calls == [basis]
-    assert N.shape == (20, 20 - 3 * 4)
-    assert np.allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-13)
-    assert not N.flags.writeable
+    P = basis.null_space
+    assert basis.null_space is P
+    assert null_space_builds == [basis]
+    assert P.shape == (20, 5 + 3)
+    assert not P.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        N[0, 0] = 1.0
+        P[0, 0] = 1.0
 
 
 def test_continuity_rows_scale_with_knot_spacing():
     rng = np.random.default_rng(22)
     knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, 4))])
     rho = 2
-    H1 = continuity_matrix(SplineBasis(knots, 3, rho))
-    H2 = continuity_matrix(SplineBasis(2.0 * knots, 3, rho))
+    H1 = continuity_matrix(SplineBasis(knots))
+    H2 = continuity_matrix(SplineBasis(2.0 * knots))
     for r in range(H1.shape[0]):
         g = r % (rho + 1)
         assert np.allclose(H2[r], H1[r] * 2.0 ** (-g), rtol=1e-12)
@@ -168,7 +229,7 @@ def test_continuity_rows_scale_with_knot_spacing():
 # ---------------------------------------------------------------------------
 
 def test_penalty_block_unit_width_cubic():
-    basis = SplineBasis([0.0, 1.0], degree=3)
+    basis = SplineBasis([0.0, 1.0])
     Q = penalty_matrix(basis)
     assert np.array_equal(Q[2:4, 2:4], [[4.0, 6.0], [6.0, 12.0]])
     assert np.count_nonzero(Q) == 4
@@ -214,17 +275,12 @@ def test_penalty_positive_semidefinite():
         assert eigenvalues.min() >= -1e-10
 
 
-def test_penalty_requires_curvature():
-    with pytest.raises(ValueError, match="degree at least 2"):
-        penalty_matrix(SplineBasis([0.0, 1.0], degree=1, smoothness=1))
-
-
 # ---------------------------------------------------------------------------
 # noncross_matrix
 # ---------------------------------------------------------------------------
 
 def test_noncross_block_rows_cubic():
-    basis = SplineBasis([0.0, 1.0], degree=3)
+    basis = SplineBasis([0.0, 1.0])
     G = noncross_matrix(basis)
     assert np.array_equal(G, [[1.0, 0.0, 0.0, 0.0],
                               [3.0, 1.0, 0.0, 0.0],
@@ -246,8 +302,7 @@ def test_noncross_condition_is_sufficient():
     rng = np.random.default_rng(26)
     draws_per_basis = 100
     for _ in range(100):
-        degree = int(rng.integers(2, 6))
-        basis = random_basis(rng, degree=degree, smoothness=0, max_segments=4)
+        basis = random_basis(rng, max_segments=4)
         G = noncross_matrix(basis)
         # G is blockwise lower-triangular with unit diagonal, so any
         # nonnegative image pulls back to a coefficient difference that
@@ -275,7 +330,7 @@ def test_eval_constant_spline():
 def test_eval_matches_design_row():
     rng = np.random.default_rng(27)
     for _ in range(200):
-        basis = random_basis(rng, degree=int(rng.integers(1, 6)), smoothness=0)
+        basis = random_basis(rng)
         coeffs = rng.normal(size=basis.size)
         x = float(rng.uniform(basis.knots[0], basis.knots[-1]))
         direct = eval_spline(coeffs, basis, x)
@@ -284,15 +339,15 @@ def test_eval_matches_design_row():
 
 
 def test_eval_scalar_and_array_forms():
-    basis = SplineBasis([0.0, 2.0], degree=2)
-    coeffs = np.array([1.0, 2.0, 3.0])
+    basis = SplineBasis([0.0, 2.0])
+    coeffs = np.array([1.0, 2.0, 3.0, 4.0])
     scalar = eval_spline(coeffs, basis, 1.0)
     assert isinstance(scalar, float)
     assert np.allclose(eval_spline(coeffs, basis, [1.0, 1.0]), scalar)
 
 
 def test_eval_rejects_bad_inputs():
-    basis = SplineBasis([0.0, 1.0], degree=3)
+    basis = SplineBasis([0.0, 1.0])
     with pytest.raises(ValueError, match="expected 4 coefficients"):
         eval_spline(np.ones(3), basis, 0.5)
     with pytest.raises(ValueError, match="outside the knot range"):
