@@ -36,7 +36,7 @@ __all__ = ["main"]
 def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
     """Read a headered numeric CSV; malformed rows name their line number."""
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     with handle:
@@ -140,7 +140,6 @@ def _cmd_fit(args) -> int:
         alpha=args.alpha,
         lam=args.penalty,
         basis=_basis(args, data),
-        cap=args.cap,
         rng=args.seed,
         iters=args.iters,
     )
@@ -150,7 +149,6 @@ def _cmd_fit(args) -> int:
         "alpha": args.alpha,
         "lambda": args.penalty,
         "iterations": args.iters,
-        "cap": args.cap,
         "seed": args.seed,
         "bandwidth": step1.bandwidth,
     }
@@ -174,7 +172,6 @@ def _cmd_cv(args) -> int:
         eta=args.eta,
         seed=args.seed,
         basis=_basis(args, data),
-        cap=args.cap,
         iters=args.iters,
     )
 
@@ -193,7 +190,6 @@ def _cmd_simulate(args) -> int:
         lambdas=_parse_lambdas(args.lambdas),
         alpha=args.alpha,
         seed=args.seed,
-        cap=args.cap,
         test_size=args.test_size,
         iterations=args.iters,
         include_raw_kde=not args.no_raw_kde,
@@ -261,8 +257,6 @@ def _add_fit_params(sub, knot_grid: bool = True) -> None:
     if knot_grid:
         sub.add_argument("--segments", type=int, default=20,
                          help="C^2 cubic spline segments (default %(default)s)")
-    sub.add_argument("--cap", type=int, default=1000,
-                     help="largest sample used for conditional CDFs (default %(default)s)")
     sub.add_argument("--iters", type=int, default=1000,
                      help="ADMM iterations, always run in full (default %(default)s)")
 

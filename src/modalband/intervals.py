@@ -8,7 +8,9 @@ endpoint.
 
 The scan behind :func:`estimate_levels_all` and :func:`estimate_intervals_at`
 takes each distinct query value once, 64 to a block in order of x,
-against the (capped) source sample.  A block visits only the
+against the source sample of :func:`_capped_source`: every observation
+up to 1000 of them, and above that a seeded 1000-point subsample plus
+each observation it leaves without kernel support.  A block visits only the
 sources within the kernel's reach of its queries and the distinct
 responses among them: every weight beyond the reach is under the
 relative floor of :mod:`.kde`, so it is zero.  The masses are sequential
@@ -34,6 +36,7 @@ from .kde import (
     _check_bandwidth,
     _find_root,
     conditional_cdf,
+    gaussian_kernel,
 )
 
 __all__ = [
@@ -48,6 +51,7 @@ __all__ = [
 ]
 
 _QUERY_BLOCK = 64  # queries per kernel block of the level scan
+_SOURCE_SIZE = 1000  # above this many observations, stage 1 draws a subsample this size
 
 # Kernel exponents below this give weights under WEIGHT_FLOOR / e, which the
 # floor zeroes anyway; clamping them there keeps np.exp out of the subnormal
@@ -176,19 +180,27 @@ def mi_quantile_levels(ecdf: WeightedECDF, mi: ModalInterval):
 # Per-observation interval scan
 # ---------------------------------------------------------------------------
 
-def _check_cap(cap: int) -> None:
-    if cap < 50:
-        raise ValueError(f"cap must be at least 50, got {cap}")
+def _nearest_gap(xs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Distance from each x0 to its nearest point of the sorted ``xs``."""
+    k = np.searchsorted(xs, x0)
+    left, right = xs[np.maximum(k - 1, 0)], xs[np.minimum(k, xs.size - 1)]
+    return np.minimum(np.abs(x0 - left), np.abs(right - x0))
 
 
-def _capped_source(data: Dataset, cap: int, rng) -> Dataset:
-    """Subsample used to build conditional distributions when n exceeds cap."""
-    _check_cap(cap)
+def _capped_source(data: Dataset, h: float, rng) -> Dataset:
+    """Source sample of the conditional distributions at bandwidth h.
+
+    Up to _SOURCE_SIZE observations it is the data.  Above, it is a seeded
+    subsample of that size plus every observation whose nearest subsample
+    point is beyond the kernel's nonzero reach, in data order, so each
+    observation still supports its own conditional distribution.
+    """
     n = len(data)
-    if n <= cap:
+    if n <= _SOURCE_SIZE:
         return data
-    rng = np.random.default_rng(rng)
-    keep = np.sort(rng.choice(n, size=cap, replace=False))
+    keep = np.sort(np.random.default_rng(rng).choice(n, size=_SOURCE_SIZE, replace=False))
+    gap = _nearest_gap(np.sort(data.x[keep]), data.x)
+    keep = np.union1d(keep, np.flatnonzero(gaussian_kernel(gap / h) < WEIGHT_FLOOR))
     return Dataset(data.x[keep], data.y[keep])
 
 
@@ -302,9 +314,7 @@ def _windows(source_x: np.ndarray, x0: np.ndarray, h: float):
     """
     order = np.argsort(source_x, kind="stable")
     xs = source_x[order]
-    k = np.searchsorted(xs, x0)
-    left, right = xs[np.maximum(k - 1, 0)], xs[np.minimum(k, xs.size - 1)]
-    d = np.minimum(np.abs(x0 - left), np.abs(right - x0))
+    d = _nearest_gap(xs, x0)
     # the pad covers the kernel's rounding, which moves a weight at the
     # reach by ~1e-14 of itself; x0 +- reach rounds to the float nearest
     # it, so no source between it and the exact bound is missed
@@ -321,9 +331,9 @@ def _windows(source_x: np.ndarray, x0: np.ndarray, h: float):
         yield block, np.flatnonzero(inside)
 
 
-def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, rng):
+def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, rng):
     """Rows low, up, p_low, p_up of the conditional shortest interval at
-    each query covariate, from the capped source sample.
+    each query covariate, from the source sample of :func:`_capped_source`.
 
     Each block of :func:`_windows` forms the kernel weights of its window,
     floors them as :func:`conditional_cdf` does, and pools them onto the
@@ -334,7 +344,7 @@ def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, 
     """
     _check_alpha(alpha)
     _check_bandwidth(h)
-    source = _capped_source(data, cap, rng)
+    source = _capped_source(data, h, rng)
     values, inverse = np.unique(source.y, return_inverse=True)
     failing = ~np.isfinite(queries)
     # the first failing query in the caller's order decides the error, so
@@ -390,32 +400,20 @@ def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, cap: int, 
         # the per-query reference raises the error of the first failing
         # query in the caller's order
         x_bad = float(queries[np.argmax(failing)])
-        try:
-            shortest_interval(conditional_cdf(x_bad, source, h), alpha)
-        except ValueError as exc:
-            # an observation always supports its own conditional distribution,
-            # so only the subsample can have left it without support
-            if len(source) < len(data) and np.any(data.x == x_bad):
-                raise ValueError(
-                    f"{exc}; the conditional distributions use cap={cap} of the "
-                    f"{len(data)} observations, and a cap of at least {len(data)} "
-                    "keeps every observation in its own conditional distribution"
-                ) from None
-            raise
+        shortest_interval(conditional_cdf(x_bad, source, h), alpha)
         raise RuntimeError(f"the level scan and its reference disagree at x0={x_bad}")
     return out[:, back]
 
 
-def estimate_levels_all(
-    data: Dataset, alpha: float, h: float, cap: int = 1000, rng=0
-) -> QuantileLevelSet:
+def estimate_levels_all(data: Dataset, alpha: float, h: float, rng=0) -> QuantileLevelSet:
     """Quantile levels of the conditional shortest interval at every x_i.
 
     For each observation the conditional distribution of Y at x_i is formed
     by kernel weighting, its shortest interval with mass alpha is located,
-    and the interval endpoints are converted to quantile levels.  When n
-    exceeds ``cap`` the conditional distributions are built from a seeded
-    random subsample of size cap, but levels are still produced at all n
+    and the interval endpoints are converted to quantile levels.  Above
+    1000 observations the conditional distributions are built from a seeded
+    random subsample of 1000, plus each observation that the subsample
+    leaves without kernel support; levels are still produced at all n
     observation points.
 
     Parameters
@@ -426,18 +424,14 @@ def estimate_levels_all(
         Target coverage in (0, 1).
     h : float
         Kernel bandwidth.
-    cap : int
-        Largest source-sample size used to build conditional distributions.
     rng : int, sequence of ints, or numpy Generator
-        Seed for the subsample draw; ignored when n <= cap.
+        Seed for the subsample draw; ignored when n <= 1000.
     """
-    _, _, p_low, p_up = _scan(data, data.x, alpha, h, cap, rng)
+    _, _, p_low, p_up = _scan(data, data.x, alpha, h, rng)
     return QuantileLevelSet(p_low=p_low, p_up=p_up)
 
 
-def estimate_intervals_at(
-    data: Dataset, queries, alpha: float, h: float, cap: int = 1000, rng=0
-):
+def estimate_intervals_at(data: Dataset, queries, alpha: float, h: float, rng=0):
     """Conditional shortest-interval endpoints at arbitrary query covariates.
 
     Returns (low, up) arrays aligned with ``queries``.  This is the direct
@@ -448,7 +442,7 @@ def estimate_intervals_at(
     if queries.ndim > 1:
         raise ValueError(f"queries must be a scalar or a 1-d array, got shape {queries.shape}")
     queries = np.atleast_1d(queries)
-    low, up, _, _ = _scan(data, queries, alpha, h, cap, rng)
+    low, up, _, _ = _scan(data, queries, alpha, h, rng)
     return low, up
 
 

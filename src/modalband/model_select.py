@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import _check_alpha, _check_cap
+from .intervals import _check_alpha
 from .kde import Dataset
 from .pipeline import _basis_for, _check_seed, run_step1, run_step2
 from .solver import FittedBand, _check_iters, _check_penalty_grid
@@ -136,7 +136,6 @@ def select_lambda_cv(
     seed: int = 0,
     *,
     basis: SplineBasis | None = None,
-    cap: int = 1000,
     iters: int = 1000,
 ) -> CvResult:
     """Pick the penalty minimizing mean coverage-penalized width across folds.
@@ -160,8 +159,6 @@ def select_lambda_cv(
         Seed for the fold shuffle and per-fold subsample draws, at least 0.
     basis : SplineBasis, optional
         Knot grid of every fold fit, covering x's range; by default 20 uniform C^2 cubic segments.
-    cap : int
-        Largest stage-1 source sample per fold, at least 50.
     iters : int
         ADMM iterations per fold fit, at least 1.
     """
@@ -172,7 +169,6 @@ def select_lambda_cv(
     _check_iters(iters)
     _check_eta(eta)
     _check_alpha(alpha)
-    _check_cap(cap)
     _check_seed(seed)
     n = len(data)
     if n < 20 * folds:
@@ -190,7 +186,7 @@ def select_lambda_cv(
         train = Dataset(data.x[mask], data.y[mask])
         test = Dataset(data.x[held], data.y[held])
         try:
-            step1 = run_step1(train, alpha, cap=cap, rng=[seed, v])
+            step1 = run_step1(train, alpha, rng=[seed, v])
         except Exception as exc:  # noqa: BLE001 - a fold failure must not abort CV
             warnings.warn(f"fold {v} stage-1 failed: {exc}", RuntimeWarning, stacklevel=2)
             continue

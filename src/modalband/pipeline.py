@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import QuantileLevelSet, _check_alpha, _check_cap, estimate_levels_all
+from .intervals import QuantileLevelSet, _check_alpha, estimate_levels_all
 from .kde import Dataset, density_weights, select_bandwidth
 from .solver import FittedBand, _check_iters, _check_penalty, admm_fit, assemble
 from .spline import SplineBasis
@@ -48,7 +48,7 @@ class Step1Result:
     weights: np.ndarray
 
 
-def run_step1(data: Dataset, alpha: float = 0.5, *, cap: int = 1000, rng=0) -> Step1Result:
+def run_step1(data: Dataset, alpha: float = 0.5, *, rng=0) -> Step1Result:
     """Plug-in bandwidth, interval levels and weights for every observation.
 
     The observation weights are the covariate density at each x_i raised
@@ -60,17 +60,14 @@ def run_step1(data: Dataset, alpha: float = 0.5, *, cap: int = 1000, rng=0) -> S
         Observed sample.
     alpha : float
         Target coverage of the conditional shortest interval.
-    cap : int
-        Largest source-sample size for the conditional distributions; above
-        it a seeded subsample is used.
     rng : int, sequence of ints, or numpy Generator
-        Seed for the subsample draw; an int must be non-negative.
+        Seed for the subsample draw of the conditional distributions above
+        1000 observations; an int must be non-negative.
     """
     _check_alpha(alpha)
-    _check_cap(cap)
     _check_seed(rng)
     h = select_bandwidth(data.x)
-    levels = estimate_levels_all(data, alpha, h, cap=cap, rng=rng)
+    levels = estimate_levels_all(data, alpha, h, rng=rng)
     weights = density_weights(data, h)
     return Step1Result(bandwidth=h, levels=levels, weights=weights)
 
@@ -103,7 +100,6 @@ def fit_band(
     lam: float = 1e-2,
     basis: SplineBasis | None = None,
     *,
-    cap: int = 1000,
     rng=0,
     iters: int = 1000,
 ):
@@ -115,7 +111,7 @@ def fit_band(
     _check_iters(iters)
     _check_penalty(lam)
     basis = _basis_for(data, basis)
-    step1 = run_step1(data, alpha, cap=cap, rng=rng)
+    step1 = run_step1(data, alpha, rng=rng)
     band = run_step2(data, step1, basis, lam, iters=iters)
     return band, step1
 
@@ -204,6 +200,8 @@ def load_model(path: str):
         raise ValueError(
             f"model file {path} has inconsistent coefficient counts"
         )
+    if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+        raise ValueError(f"model file {path} holds non-finite coefficients")
     band = FittedBand(
         upper=upper,
         lower=lower,

@@ -26,7 +26,6 @@ import numpy as np
 
 from .intervals import (
     _check_alpha,
-    _check_cap,
     estimate_intervals_at,
     true_mi_lognormal,
     true_mi_normal,
@@ -139,7 +138,6 @@ class SimConfig:
     lambdas: tuple = DEFAULT_LAMBDA_GRID
     alpha: float = 0.5
     seed: int = 0
-    cap: int = 1000
     test_size: int = 1000
     iterations: int = 1000
     include_raw_kde: bool = True
@@ -154,7 +152,6 @@ class SimConfig:
         _check_penalty_grid(self.lambdas)
         _check_alpha(self.alpha)
         _check_seed(self.seed)
-        _check_cap(self.cap)
         if self.test_size < 10:
             raise ValueError(f"test_size must be at least 10, got {self.test_size}")
         _check_iters(self.iterations)
@@ -217,7 +214,7 @@ def _run_one_rep(config: SimConfig, rep: int, truth: np.ndarray,
     test = _generate(config, config.test_size, _stream(config.seed, rep, 1))
 
     t0 = time.perf_counter()
-    step1 = run_step1(train, config.alpha, cap=config.cap, rng=_stream(config.seed, rep, 2))
+    step1 = run_step1(train, config.alpha, rng=_stream(config.seed, rep, 2))
     step1_s = time.perf_counter() - t0
 
     results = []
@@ -238,7 +235,7 @@ def _run_one_rep(config: SimConfig, rep: int, truth: np.ndarray,
         # same subsample draw as stage 1
         low, up = estimate_intervals_at(
             train, np.concatenate([truth[:, 0], test.x]), config.alpha,
-            step1.bandwidth, cap=config.cap, rng=_stream(config.seed, rep, 2),
+            step1.bandwidth, rng=_stream(config.seed, rep, 2),
         )
         raw_s = time.perf_counter() - t0
         g = len(truth)

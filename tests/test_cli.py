@@ -258,9 +258,8 @@ def refuse_bandwidth(monkeypatch):
 
 @pytest.mark.parametrize("flags, message", [
     (["--alpha", "1.5"], "coverage level must lie in (0, 1), got 1.5"),
-    (["--cap", "10"], "cap must be at least 50, got 10"),
     (["--knot-min", "0", "--knot-max", "5"], "outside the knot range [0.0, 5.0]"),
-], ids=["alpha", "cap", "knots"])
+], ids=["alpha", "knots"])
 def test_fit_rejects_bad_stage_one_input_before_the_bandwidth(
     xy_csv, tmp_path, capsys, monkeypatch, flags, message
 ):
@@ -358,6 +357,11 @@ def test_atomic_write_names_the_target_it_cannot_write(tmp_path):
     {"knots": [0.0, 1.0], "degree": None, "smoothness": 2,
      "upper": [0.0] * 4, "lower": [0.0] * 4},
     pytest.param("x,lower,upper,midpoint\n0.0,1.0,2.0,1.5\n", id="not-json"),
+    # json writes these as the non-standard NaN and Infinity, which it reads back
+    pytest.param({"knots": [0.0, 1.0], "degree": 3, "smoothness": 2,
+                  "upper": [0.0, float("nan"), 0.0, 0.0], "lower": [0.0] * 4}, id="nan-upper"),
+    pytest.param({"knots": [0.0, 1.0], "degree": 3, "smoothness": 2,
+                  "upper": [1.0] * 4, "lower": [0.0, 0.0, 0.0, -float("inf")]}, id="inf-lower"),
 ])
 def test_band_rejects_malformed_model_in_one_line(tmp_path, capsys, payload):
     model = tmp_path / "m.json"
@@ -367,6 +371,9 @@ def test_band_rejects_malformed_model_in_one_line(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert str(model) in err
+    assert not (tmp_path / "out.csv").exists()
+    if isinstance(payload, dict) and payload["degree"] == 3:
+        assert err == f"error: model file {model} holds non-finite coefficients\n"
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +414,28 @@ def test_dataset_errors_name_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ")
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "rhythm"])
+def test_a_byte_order_mark_before_the_header_is_skipped(xy_csv, tmp_path, capsys, command):
+    # a spreadsheet's "CSV UTF-8" export starts with the mark U+FEFF
+    plain = xy_csv
+    if command == "rhythm":
+        plain, x = tmp_path / "band.csv", np.arange(241.0)
+        write_band_csv(plain, x, 2.0 + np.sin(2.0 * np.pi * x / 28.0))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for source in (plain, marked):
+        out = tmp_path / f"{source.stem}-out.csv"
+        if command == "fit":
+            argv = ["fit", "--input", str(source), "--model", str(tmp_path / "m.json"),
+                    "--band", str(out), "--segments", "10"]
+        else:
+            argv = ["rhythm", "--input", str(source), "--output", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
 
 
 def test_invalid_lambda_list(xy_csv, tmp_path, capsys):
@@ -484,11 +513,10 @@ def test_cv_writes_score_table(xy_csv, tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--iters", "0", "iteration budget must be at least 1, got 0"),
     ("--eta", "0", "eta must be positive, got 0.0"),
-    ("--cap", "0", "cap must be at least 50, got 0"),
     ("--alpha", "1.5", "coverage level must lie in (0, 1), got 1.5"),
     ("--lambdas", "nan,1e-2", "penalty strength must be positive and finite, got nan"),
     ("--lambdas", "inf,1e-2", "penalty strength must be positive and finite, got inf"),
-], ids=["iters", "eta", "cap", "alpha", "lambda-nan", "lambda-inf"])
+], ids=["iters", "eta", "alpha", "lambda-nan", "lambda-inf"])
 def test_cv_rejects_bad_solver_settings_before_fitting(
     xy_csv, tmp_path, capsys, recwarn, flag, value, message
 ):
@@ -584,13 +612,18 @@ def test_simulate_rejects_non_finite_penalty_before_fitting(tmp_path, capsys, re
     assert not (tmp_path / "replications.csv").exists()
 
 
-def test_simulate_rejects_small_cap_before_fitting(tmp_path, capsys, recwarn):
-    code = main(["simulate", "--dist", "1", "--n", "100", "--reps", "2",
-                 "--cap", "0", "--seed", "0", "--out-dir", str(tmp_path)])
-    assert code == 1
-    assert capsys.readouterr().err == "error: cap must be at least 50, got 0\n"
-    assert not recwarn.list  # no replication was run
-    assert not (tmp_path / "replications.csv").exists()
+@pytest.mark.parametrize("command", ["fit", "cv", "simulate"])
+def test_the_source_size_is_no_option(xy_csv, tmp_path, capsys, command):
+    # stage 1's conditional distributions take a fixed 1000-point source
+    argv = {"fit": ["--input", str(xy_csv), "--model", str(tmp_path / "m.json")],
+            "cv": ["--input", str(xy_csv), "--output", str(tmp_path / "cv.csv"), "--seed", "0"],
+            "simulate": ["--dist", "1", "--n", "100", "--reps", "1", "--seed", "0",
+                         "--out-dir", str(tmp_path)]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *argv, "--cap", "1000"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --cap 1000" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

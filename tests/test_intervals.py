@@ -266,22 +266,90 @@ def test_level_set_validation():
 # ---------------------------------------------------------------------------
 
 def test_estimate_levels_below_cap_uses_all_points():
-    data = gen_dist1(200, 1)
-    h = select_bandwidth(data.x)
-    a = estimate_levels_all(data, 0.5, h, cap=1000)
-    b = estimate_levels_all(data, 0.5, h, cap=200)
-    assert np.array_equal(a.p_low, b.p_low)
-    assert np.array_equal(a.p_up, b.p_up)
+    # up to 1000 observations the source is the data, whatever the seed
+    for n in (200, 1000):
+        data = gen_dist1(n, 1)
+        h = select_bandwidth(data.x)
+        assert _capped_source(data, h, 5) is data
+        a = estimate_levels_all(data, 0.5, h, rng=0)
+        b = estimate_levels_all(data, 0.5, h, rng=5)
+        assert np.array_equal(a.p_low, b.p_low)
+        assert np.array_equal(a.p_up, b.p_up)
 
 
 def test_estimate_levels_capped_is_deterministic():
     data = gen_dist1(1200, 2)
     h = select_bandwidth(data.x)
-    a = estimate_levels_all(data, 0.5, h, cap=1000, rng=5)
-    b = estimate_levels_all(data, 0.5, h, cap=1000, rng=5)
+    a = estimate_levels_all(data, 0.5, h, rng=5)
+    b = estimate_levels_all(data, 0.5, h, rng=5)
     assert np.array_equal(a.p_low, b.p_low)
     assert np.array_equal(a.p_up, b.p_up)
     assert len(a) == 1200
+
+
+def lognormal_covariate(n, seed):
+    """x ~ lognormal(0, 2): its right tail is sparse enough that a
+    1000-point subsample leaves observations without kernel support."""
+    rng = np.random.default_rng(seed)
+    x = rng.lognormal(0.0, 2.0, n)
+    return Dataset(x, np.sin(np.log(x)) + rng.normal(0.0, 0.3, n))
+
+
+def far_outlier(n, seed, gap, h):
+    """gen_dist1(n, seed) with one more observation ``gap`` past the
+    largest x, put at the first index the 1000-point subsample draw of
+    seed 0 leaves out."""
+    base = gen_dist1(n, seed)
+    drawn = np.random.default_rng(0).choice(n + 1, size=1000, replace=False)
+    k = int(np.setdiff1d(np.arange(n + 1), drawn)[0])
+    return Dataset(np.insert(base.x, k, base.x.max() + gap * h), np.insert(base.y, k, 0.0))
+
+
+def source_by_definition(data, h, rng):
+    """The seeded 1000-point subsample plus every observation that gets no
+    weight at or above WEIGHT_FLOOR from it, by the kernel at every pair;
+    returns (source, indices of the subsample, indices added)."""
+    drawn = np.sort(np.random.default_rng(rng).choice(len(data), size=1000, replace=False))
+    best = np.array([gaussian_kernel((data.x[drawn] - x0) / h).max() for x0 in data.x])
+    added = np.flatnonzero(best < WEIGHT_FLOOR)
+    keep = np.sort(np.concatenate([drawn, added]))
+    return Dataset(data.x[keep], data.y[keep]), drawn, added
+
+
+@pytest.mark.parametrize("name", ["lognormal-2000-3", "lognormal-2000-4", "lognormal-2000-5",
+                                  "lognormal-5000-3", "outlier-40h", "outlier-30h"])
+def test_capped_source_is_the_subsample_plus_what_it_leaves_unsupported(name):
+    if name.startswith("lognormal"):
+        _, n, seed = name.split("-")
+        data = lognormal_covariate(int(n), int(seed))
+        h = select_bandwidth(data.x)
+    else:
+        h = 0.5
+        data = far_outlier(1500, 10, float(name[len("outlier-"):-1]), h)
+    source = _capped_source(data, h, 0)
+    expected, drawn, added = source_by_definition(data, h, 0)
+    assert np.array_equal(source.x, expected.x)
+    assert np.array_equal(source.y, expected.y)
+    # every observation takes a nonzero weight from some source point
+    best = np.array([gaussian_kernel((source.x - x0) / h).max() for x0 in data.x])
+    assert np.all(best >= WEIGHT_FLOOR)
+    if name == "outlier-40h":  # exp(-800) underflows: the outlier is added back
+        assert added.size == 1 and data.x[added[0]] == data.x.max()
+    elif name == "outlier-30h":  # exp(-450) / sqrt(2 pi) is above the floor
+        assert added.size == 0
+    else:
+        assert added.size > 0
+
+
+def test_capped_source_is_the_plain_subsample_on_the_uniform_benchmark_draws():
+    # the two n = 10 000 draws of the fit benchmark, fitted with seed 0
+    for k in range(2):
+        rng = np.random.default_rng(np.random.SeedSequence([0, 1, k, 0]))
+        x = rng.uniform(0.0, 10.0, 10_000)
+        data = Dataset(x, np.zeros_like(x))
+        source = _capped_source(data, select_bandwidth(x), 0)
+        drawn = np.sort(np.random.default_rng(0).choice(x.size, size=1000, replace=False))
+        assert np.array_equal(source.x, x[drawn])
 
 
 def test_estimate_levels_mean_mass_near_target():
@@ -302,12 +370,6 @@ def test_estimate_levels_take_an_isolated_observation():
     assert (levels.p_low[-1], levels.p_up[-1]) == (eps, 1.0 - eps)
 
 
-def test_estimate_levels_rejects_small_cap():
-    data = gen_dist1(100, 4)
-    with pytest.raises(ValueError, match="cap must be at least 50"):
-        estimate_levels_all(data, 0.5, 0.5, cap=10)
-
-
 def test_estimate_levels_rejects_bad_inputs():
     data = gen_dist1(60, 5)
     with pytest.raises(ValueError, match="coverage level"):
@@ -320,10 +382,10 @@ def test_estimate_levels_rejects_bad_inputs():
         estimate_levels_all(data, 0.5, float("inf"))
 
 
-def direct_scan(data, queries, alpha, h, cap):
+def direct_scan(data, queries, alpha, h):
     """Rows low, up, p_low, p_up from one conditional CDF per query, built
-    on the same capped source draw as the scan."""
-    source = _capped_source(data, cap, 0)
+    on the same source sample as the scan."""
+    source = _capped_source(data, h, 0)
     rows = []
     for x0 in queries:
         ecdf = conditional_cdf(float(x0), source, h)
@@ -333,9 +395,9 @@ def direct_scan(data, queries, alpha, h, cap):
 
 
 def scan_case(name):
-    """(data, bandwidth, cap, queries) of one oracle input."""
+    """(data, bandwidth, queries) of one oracle input."""
     rng = np.random.default_rng(12)
-    h, cap, queries = None, 1000, None
+    h, queries = None, None
     if name == "dist1":
         data = gen_dist1(150, 6)
     elif name.startswith("queries-"):
@@ -350,7 +412,8 @@ def scan_case(name):
         y = np.exp(1.0 + 0.3 * np.sin(2 * np.pi * x / 24) + 0.4 * rng.normal(size=x.size))
         data = Dataset(x, y)
     elif name == "above-cap":
-        data, h, cap = gen_dist1(700, 8), 0.4, 150
+        # n > 1000: the source is the 1000-point subsample
+        data, h = gen_dist1(1500, 8), 0.4
     elif name == "heavy-atom":
         # 60% of the responses sit on one value, so low levels pick a zero-width interval
         y = np.where(rng.random(200) < 0.6, 2.0, rng.normal(size=200))
@@ -371,12 +434,14 @@ def scan_case(name):
         # reach h*sqrt(30^2 + 73.5) still takes in the sources at the ends
         data, h = gen_dist1(150, 6), 0.3
         queries = np.array([data.x.min() - 30 * h, 5.0, data.x.max() + 30 * h])
-    elif name == "far-outlier":
-        # one covariate 30h past the others, n > cap: the last block's
-        # queries span the gap, and in the source the outlier's conditional
-        # distribution is a lone atom
-        data, h, cap = gen_dist1(400, 9), 0.5, 150
-        data = Dataset(np.append(data.x, data.x.max() + 15.0), np.append(data.y, 0.0))
+    elif name in ("far-outlier", "far-outlier-40h"):
+        # one covariate 30h (40h) past the others, which the 1000-point
+        # subsample leaves out: the last block's queries span the gap.  At
+        # 30h the subsample's far end supports the outlier, with weights
+        # near 1e-196; at 40h they underflow, so the source adds the
+        # outlier back and its conditional distribution is a lone atom
+        h = 0.5
+        data = far_outlier(1200, 9, 30.0 if name == "far-outlier" else 40.0, h)
     elif name == "offset":
         # near 1e6, x0 +- reach rounds to steps of ~1e-10
         base = gen_dist1(150, 6)
@@ -399,31 +464,34 @@ def scan_case(name):
         data = Dataset(x, rng.normal(size=x.size))
         queries = np.concatenate([[np.nan], x] if name == "nan-first" else [x, [np.nan]])
     h = select_bandwidth(data.x) if h is None else h
-    return data, h, cap, data.x if queries is None else queries
+    return data, h, data.x if queries is None else queries
 
 
 SCAN_CASES = ["dist1", "tied", "hourly", "above-cap", "heavy-atom", "equal-weights",
               "underflow", "queries-1", "queries-63", "queries-64", "queries-65",
-              "queries-129", "shuffled", "far-queries", "far-outlier", "offset",
-              "far-cluster", "hourly-x10", "signed-zero", "nan-first", "nan-last"]
+              "queries-129", "shuffled", "far-queries", "far-outlier", "far-outlier-40h",
+              "offset", "far-cluster", "hourly-x10", "signed-zero", "nan-first", "nan-last"]
+# cases where every query has kernel support
+SUPPORTED = {"above-cap", "far-outlier", "far-outlier-40h"}
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("name", SCAN_CASES)
 def test_estimate_intervals_match_direct_composition(name, alpha):
-    data, h, cap, queries = scan_case(name)
+    data, h, queries = scan_case(name)
     try:
-        expected = direct_scan(data, queries, alpha, h, cap)
+        expected = direct_scan(data, queries, alpha, h)
     except ValueError as exc:  # the scan raises the reference's error
+        assert name not in SUPPORTED, str(exc)
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            estimate_intervals_at(data, queries, alpha, h, cap=cap)
+            estimate_intervals_at(data, queries, alpha, h)
         return
-    low, up = estimate_intervals_at(data, queries, alpha, h, cap=cap)
+    low, up = estimate_intervals_at(data, queries, alpha, h)
     assert np.array_equal(low, expected[0])
     assert np.array_equal(up, expected[1])
     assert np.all(up >= low)
     if queries is data.x:  # levels are produced at the observations only
-        levels = estimate_levels_all(data, alpha, h, cap=cap)
+        levels = estimate_levels_all(data, alpha, h)
         assert np.array_equal(levels.p_low, expected[2])
         assert np.array_equal(levels.p_up, expected[3])
     if name == "heavy-atom" and alpha == 0.5:
@@ -493,8 +561,8 @@ def test_a_non_finite_query_stops_the_scan_before_it(finite_windows):
 
 def test_replicated_covariates_are_scanned_once(finite_windows):
     # 241 hours with 10 replicates each: one scan row per hour
-    data, h, cap, _ = scan_case("hourly-x10")
-    estimate_levels_all(data, 0.5, h, cap=cap)
+    data, h, _ = scan_case("hourly-x10")
+    estimate_levels_all(data, 0.5, h)
     assert len(finite_windows) == 1
     assert np.array_equal(finite_windows[0], np.arange(241.0))
 
@@ -549,7 +617,7 @@ from modalband.simulate import gen_dist1
 
 data = gen_dist1(10_000, 1)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-estimate_levels_all(data, 0.5, 0.3, cap=1000)
+estimate_levels_all(data, 0.5, 0.3)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -557,7 +625,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
 def test_level_scan_reuses_its_block_buffers():
     # the bound sits between a scan that reuses its block arrays (~2 200
-    # faults) and one that allocates 64 x cap temporaries per block, which
+    # faults) and one that allocates 64 x 1000 temporaries per block, which
     # the allocator hands back to the OS (~121 000)
     src = os.path.dirname(os.path.dirname(modalband.__file__))
     env = dict(os.environ)

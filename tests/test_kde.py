@@ -256,10 +256,10 @@ def test_pairwise_layers_stay_within_memory_bound():
     lattice[:2] = 0.0, 10.0
     assert traced_peak_bytes(lambda: _pair_counts(lattice, 1000)) <= 0.5e6
     assert traced_peak_bytes(lambda: density_weights(Dataset(x, x), 0.3)) <= 2e6
-    # the level scan works on blocks of queries; one n x cap array of
-    # doubles would take 32 MB here
+    # the level scan works on blocks of queries; one n x 1000 array of
+    # doubles (the source subsample) would take 32 MB here
     data = Dataset(x, np.random.default_rng(5).normal(size=x.size))
-    assert traced_peak_bytes(lambda: estimate_levels_all(data, 0.5, 0.3, cap=1000)) <= 16e6
+    assert traced_peak_bytes(lambda: estimate_levels_all(data, 0.5, 0.3)) <= 16e6
 
 
 def test_bandwidth_rejects_degenerate_sample():

@@ -163,8 +163,6 @@ def test_config_validation():
         SimConfig(dist=1, n=100, alpha=1.0)
     with pytest.raises(ValueError, match="test_size"):
         SimConfig(dist=1, n=100, test_size=5)
-    with pytest.raises(ValueError, match="cap must be at least 50, got 10"):
-        SimConfig(dist=1, n=100, cap=10)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         SimConfig(dist=1, n=100, seed=-1)
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from modalband import pipeline
-from modalband.intervals import QuantileLevelSet, estimate_intervals_at
-from modalband.kde import Dataset
+from modalband.intervals import QuantileLevelSet, _capped_source, estimate_intervals_at
+from modalband.kde import Dataset, conditional_cdf
 from modalband.model_select import select_lambda_cv
 from modalband.pipeline import fit_band, run_step1, run_step2
 from modalband.simulate import gen_dist1
@@ -264,7 +264,7 @@ def no_bandwidth(monkeypatch):
     monkeypatch.setattr(pipeline, "select_bandwidth", bandwidth)
 
 
-@pytest.mark.parametrize("n", [500, 2000])  # below and above cap
+@pytest.mark.parametrize("n", [500, 2000])  # below and above the 1000-point subsample
 def test_negative_integer_seed_is_refused_before_the_bandwidth(no_bandwidth, n):
     data = gen_dist1(n, 1)
     for seed in (-1, np.int64(-1)):
@@ -336,8 +336,14 @@ EDGE_INPUTS = {
     "cauchy-x": lambda: fit_band(cauchy_covariate(500)),
     "x-plus-1e6": lambda: fit_band(shifted_covariate(gen_dist1(500, 1))),
     "lognormal-x-above-cap": lambda: fit_band(skewed_covariate(2000)),
+    "lognormal-x-n5000": lambda: fit_band(skewed_covariate(5000)),
     "cv-20-per-fold": lambda: cv_then_fit(gen_dist1(100, 1)),
 }
+
+
+# above 1000 observations the source adds back every observation that its
+# subsample leaves without kernel support, so these fit
+MUST_FIT = {"lognormal-x-above-cap", "lognormal-x-n5000"}
 
 
 @pytest.mark.parametrize("name", EDGE_INPUTS)
@@ -349,6 +355,8 @@ def test_edge_inputs_fit_or_raise_one_value_error(name):
         try:
             band, _ = EDGE_INPUTS[name]()
         except ValueError:
+            if name in MUST_FIT:
+                raise
             band = None
     for w in caught:
         assert "non-crossing violated" in str(w.message), str(w.message)
@@ -373,21 +381,23 @@ def test_a_covariate_that_leaves_most_segments_empty_is_refused_and_says_so():
     assert np.all(np.isfinite(band.upper)) and np.all(np.isfinite(band.lower))
 
 
-def test_an_observation_left_out_by_the_subsample_names_the_cap():
+def test_an_observation_left_out_by_the_subsample_is_added_back():
+    # x = 769.70 of this draw is neither in the seeded 1000-point subsample
+    # nor within the kernel's nonzero reach of any point of it
     data = skewed_covariate(2000)
-    message = (r"^no kernel support at x0=769\.6986181969256: .*; the conditional "
-               r"distributions use cap=1000 of the 2000 observations, and a cap of "
-               r"at least 2000 keeps every observation in its own conditional distribution$")
-    with pytest.raises(ValueError, match=message):
-        fit_band(data, cap=1000)
-    band, _ = fit_band(data, cap=2000)
+    x_far = 769.6986181969256
+    drawn = np.random.default_rng(0).choice(2000, size=1000, replace=False)
+    assert x_far in data.x and x_far not in data.x[drawn]
+    band, step1 = fit_band(data)
     assert np.all(np.isfinite(band.upper)) and np.all(np.isfinite(band.lower))
-    # a query that is no observation keeps the reference's text, with or
-    # without a subsample
-    for cap in (1000, 2000):
-        with pytest.raises(ValueError, match=r"^no kernel support at x0=-100\.0: all "
-                                             r"weights underflow at bandwidth 0\.5$"):
-            estimate_intervals_at(data, [-100.0], 0.5, 0.5, cap=cap)
+    source = _capped_source(data, step1.bandwidth, 0)
+    assert x_far in source.x
+    with pytest.raises(ValueError, match=r"^no kernel support at x0=769\.6986181969256: "):
+        conditional_cdf(x_far, Dataset(data.x[drawn], data.y[drawn]), step1.bandwidth)
+    # a query that is no observation keeps the reference's text
+    with pytest.raises(ValueError, match=r"^no kernel support at x0=-100\.0: all "
+                                         r"weights underflow at bandwidth 0\.5$"):
+        estimate_intervals_at(data, [-100.0], 0.5, 0.5)
 
 
 def test_midpoint_tracks_conditional_median():
