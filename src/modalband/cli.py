@@ -19,7 +19,7 @@ import numpy as np
 from .kde import Dataset
 from .model_select import select_lambda_cv
 from .pipeline import fit_band, load_model, save_model, write_csv
-from .rhythm import DEFAULT_THRESHOLDS, DEFAULT_WINDOW, detect_rhythms
+from .rhythm import DEFAULT_WINDOW, detect_rhythms
 from .simulate import (
     DEFAULT_LAMBDA_GRID,
     SimConfig,
@@ -32,6 +32,30 @@ from .spline import SplineBasis
 
 __all__ = ["main"]
 
+BAND_POINTS = 201  # grid of fit's band CSV, and band's default grid
+
+
+def _csv_rows(path: str, handle):
+    """The rows of a CSV text file; a line that csv or UTF-8 cannot read is one error."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        # text is decoded in blocks ahead of the reader, so the line of the
+        # first undecodable byte is counted in the file's bytes
+        with open(path, "rb") as binary:
+            raw = binary.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise ValueError(
+                f"{path}: line {line}: byte {raw[exc.start]:#04x} is not UTF-8"
+            ) from None
+        raise
+
 
 def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
     """Read a headered numeric CSV; malformed rows name their line number."""
@@ -40,7 +64,7 @@ def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     with handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(path, handle)
         try:
             header = next(reader)
         except StopIteration:
@@ -100,30 +124,19 @@ def _parse_lambdas(raw: str):
 
 
 def _basis(args, data: Dataset) -> SplineBasis:
-    """The options' knot grid, over [--knot-min, --knot-max] if given, else the data's x range."""
-    lo, hi = getattr(args, "knot_min", None), getattr(args, "knot_max", None)
-    if (lo is None) != (hi is None):
-        raise ValueError("--knot-min and --knot-max must be given together")
-    if lo is None:
-        lo, hi = float(data.x.min()), float(data.x.max())
-    return SplineBasis.uniform(lo, hi, args.segments)
+    """``--segments`` uniform knot intervals over the data's x range."""
+    return SplineBasis.uniform(float(data.x.min()), float(data.x.max()), args.segments)
 
 
-def _write_band_csv(path: str, band, grid: np.ndarray) -> None:
-    lower, upper = band.lower_at(grid), band.upper_at(grid)
-    write_csv(path, "x,lower,upper,midpoint", zip(grid, lower, upper, 0.5 * (lower + upper)))
-
-
-def _check_grid_points(points: int) -> None:
+def _write_band_csv(path: str, band, lo: float, hi: float, points: int) -> None:
+    """The band on ``points`` evenly spaced x from ``lo`` to ``hi``."""
     if points < 2:
         raise ValueError(f"--grid-points must be at least 2, got {points}")
-
-
-def _band_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    _check_grid_points(points)
     if not lo < hi:
         raise ValueError(f"empty evaluation range [{lo}, {hi}]")
-    return np.linspace(lo, hi, points)
+    grid = np.linspace(lo, hi, points)
+    lower, upper = band.lower_at(grid), band.upper_at(grid)
+    write_csv(path, "x,lower,upper,midpoint", zip(grid, lower, upper, 0.5 * (lower + upper)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +146,6 @@ def _band_grid(lo: float, hi: float, points: int) -> np.ndarray:
 def _cmd_fit(args) -> int:
     _check_output_dirs(args.model, args.band)
     data = _load_dataset(args.input)
-    if args.band is not None:
-        _check_grid_points(args.grid_points)  # before the fit, so no model is left
     band, step1 = fit_band(
         data,
         alpha=args.alpha,
@@ -155,8 +166,7 @@ def _cmd_fit(args) -> int:
     save_model(args.model, band, config)
     print(f"model written to {args.model} (bandwidth {step1.bandwidth:.9g})")
     if args.band is not None:
-        grid = _band_grid(band.basis.knots[0], band.basis.knots[-1], args.grid_points)
-        _write_band_csv(args.band, band, grid)
+        _write_band_csv(args.band, band, band.basis.knots[0], band.basis.knots[-1], BAND_POINTS)
         print(f"band written to {args.band}")
     return 0
 
@@ -169,7 +179,6 @@ def _cmd_cv(args) -> int:
         _parse_lambdas(args.lambdas),
         folds=args.folds,
         alpha=args.alpha,
-        eta=args.eta,
         seed=args.seed,
         basis=_basis(args, data),
         iters=args.iters,
@@ -192,7 +201,6 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         test_size=args.test_size,
         iterations=args.iters,
-        include_raw_kde=not args.no_raw_kde,
     )
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -223,8 +231,7 @@ def _cmd_band(args) -> int:
             f"evaluation range [{lo}, {hi}] leaves the fitted domain "
             f"[{band.basis.knots[0]}, {band.basis.knots[-1]}]"
         )
-    grid = _band_grid(lo, hi, args.grid_points)
-    _write_band_csv(args.output, band, grid)
+    _write_band_csv(args.output, band, lo, hi, args.grid_points)
     print(f"band written to {args.output}")
     return 0
 
@@ -233,9 +240,8 @@ def _cmd_rhythm(args) -> int:
     _check_output_dirs(args.output)
     cols = _read_csv(args.input, ("x", "lower", "upper", "midpoint"))
     curve = np.column_stack([cols["x"], cols["midpoint"]])
-    thresholds = (args.mild, args.significant)
     try:
-        cycles = detect_rhythms(curve, window=args.window, thresholds=thresholds)
+        cycles = detect_rhythms(curve, window=args.window)
     except ValueError as exc:
         raise ValueError(f"{args.input}: {exc}") from exc
 
@@ -272,11 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit = commands.add_parser("fit", help="fit a band to x,y data")
     fit.add_argument("--input", required=True, help="CSV with header x,y")
     fit.add_argument("--model", required=True, help="output model JSON path")
-    fit.add_argument("--band", help="optional band CSV path (x,lower,upper,midpoint)")
-    fit.add_argument("--grid-points", type=int, default=201,
-                     help="band CSV grid resolution (default %(default)s)")
-    fit.add_argument("--knot-min", type=float, help="left knot (default: data minimum)")
-    fit.add_argument("--knot-max", type=float, help="right knot (default: data maximum)")
+    fit.add_argument("--band", help=f"optional band CSV path (x,lower,upper,midpoint), "
+                                    f"{BAND_POINTS} points across the knot range")
     fit.add_argument("--seed", type=int, default=0,
                      help="seed for the large-n subsample draw (default %(default)s)")
     fit.add_argument("--penalty", type=float, default=1e-2,
@@ -290,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--lambdas", default=",".join(map(str, DEFAULT_LAMBDA_GRID)),
                     help="comma-separated penalty grid (default %(default)s)")
     cv.add_argument("--folds", type=int, default=5, help="fold count (default %(default)s)")
-    cv.add_argument("--eta", type=float, default=20.0,
-                    help="coverage shortfall penalty rate (default %(default)s)")
     cv.add_argument("--seed", type=int, required=True, help="fold shuffle seed (required)")
     _add_fit_params(cv)
     cv.set_defaults(func=_cmd_cv)
@@ -306,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_params(sim, knot_grid=False)
     sim.add_argument("--test-size", type=int, default=1000,
                      help="fresh test points per replication (default %(default)s)")
-    sim.add_argument("--no-raw-kde", action="store_true",
-                     help="skip the unsmoothed kernel-CDF comparator arm")
     sim.add_argument("--seed", type=int, required=True, help="base seed (required)")
     sim.add_argument("--out-dir", default=".",
                      help="directory for replications.csv and summary.csv")
@@ -318,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     band.add_argument("--output", required=True, help="band CSV path")
     band.add_argument("--grid-min", type=float, help="grid start (default: first knot)")
     band.add_argument("--grid-max", type=float, help="grid end (default: last knot)")
-    band.add_argument("--grid-points", type=int, default=201,
+    band.add_argument("--grid-points", type=int, default=BAND_POINTS,
                       help="grid resolution (default %(default)s)")
     band.set_defaults(func=_cmd_band)
 
@@ -328,10 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     rhythm.add_argument("--output", required=True, help="cycle CSV path")
     rhythm.add_argument("--window", type=float, default=DEFAULT_WINDOW,
                         help="dominance window in x units (default %(default)s)")
-    rhythm.add_argument("--mild", type=float, default=DEFAULT_THRESHOLDS[0],
-                        help="mild-rhythm ratio threshold (default %(default)s)")
-    rhythm.add_argument("--significant", type=float, default=DEFAULT_THRESHOLDS[1],
-                        help="significant-rhythm ratio threshold (default %(default)s)")
     rhythm.set_defaults(func=_cmd_rhythm)
 
     return parser

@@ -27,6 +27,8 @@ __all__ = [
     "select_lambda_cv",
 ]
 
+ETA = 20.0  # the criterion's penalty rate per unit of coverage shortfall
+
 
 @dataclass(frozen=True)
 class BandMetrics:
@@ -40,29 +42,22 @@ class BandMetrics:
     n_outside: int     # test points dropped for lying outside it
 
 
-def _check_eta(eta: float) -> None:
-    if not eta > 0.0:  # False for NaN
-        raise ValueError(f"eta must be positive, got {eta}")
-
-
-def mcwc_score(nmmiw: float, micp: float, alpha: float, eta: float = 20.0) -> float:
-    """Coverage-penalized width: nmmiw, inflated by exp(-eta*(micp - alpha))
+def mcwc_score(nmmiw: float, micp: float, alpha: float) -> float:
+    """Coverage-penalized width: nmmiw, inflated by exp(-ETA*(micp - alpha))
     when coverage misses the target."""
     if micp >= alpha:
         return nmmiw
-    return nmmiw * float(np.exp(-eta * (micp - alpha)))
+    return nmmiw * float(np.exp(-ETA * (micp - alpha)))
 
 
-def band_metrics(
-    band: FittedBand, test: Dataset, alpha: float, eta: float = 20.0
-) -> BandMetrics:
+def band_metrics(band: FittedBand, test: Dataset, alpha: float) -> BandMetrics:
     """Evaluate a fitted band on held-out data.
 
     Test points outside the fitted knot range are dropped and counted.
     The response range used for normalization is taken over the retained
-    test points and must be positive.
+    test points and must be positive.  The criterion ``mcwc`` is
+    :func:`mcwc_score`, at the penalty rate ``ETA``.
     """
-    _check_eta(eta)
     lo, hi = band.basis.knots[0], band.basis.knots[-1]
     inside = (test.x >= lo) & (test.x <= hi)
     n_outside = int((~inside).sum())
@@ -85,7 +80,7 @@ def band_metrics(
     return BandMetrics(
         micp=micp,
         nmmiw=nmmiw,
-        mcwc=mcwc_score(nmmiw, micp, alpha, eta),
+        mcwc=mcwc_score(nmmiw, micp, alpha),
         aiw=aiw,
         n_used=int(x.size),
         n_outside=n_outside,
@@ -132,7 +127,6 @@ def select_lambda_cv(
     grid,
     folds: int = 5,
     alpha: float = 0.5,
-    eta: float = 20.0,
     seed: int = 0,
     *,
     basis: SplineBasis | None = None,
@@ -150,11 +144,12 @@ def select_lambda_cv(
     data : Dataset
         Full sample; needs at least 20 points per fold.
     grid : sequence of float
-        Candidate penalty values, all positive and finite.
+        Candidate penalty values, all positive, finite and distinct.
     folds : int
         Number of folds, at least 2.
-    alpha, eta : float
-        Coverage target and the criterion's penalty rate (positive).
+    alpha : float
+        Coverage target of the fits and of the criterion, whose penalty
+        rate is ``ETA``.
     seed : int
         Seed for the fold shuffle and per-fold subsample draws, at least 0.
     basis : SplineBasis, optional
@@ -167,7 +162,6 @@ def select_lambda_cv(
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     _check_iters(iters)
-    _check_eta(eta)
     _check_alpha(alpha)
     _check_seed(seed)
     n = len(data)
@@ -193,7 +187,7 @@ def select_lambda_cv(
         for g, lam in enumerate(grid):
             try:
                 band = run_step2(train, step1, basis, lam, iters=iters)
-                fold_scores[g, v] = band_metrics(band, test, alpha, eta).mcwc
+                fold_scores[g, v] = band_metrics(band, test, alpha).mcwc
             except Exception as exc:  # noqa: BLE001
                 warnings.warn(
                     f"fold {v} fit at penalty {lam} failed: {exc}",

@@ -17,7 +17,7 @@ import numpy as np
 __all__ = ["RhythmCycle", "detect_rhythms", "classify_ratio"]
 
 DEFAULT_WINDOW = 24.0  # one day, for curves indexed in hours
-DEFAULT_THRESHOLDS = (1.25, 1.5)
+THRESHOLDS = (1.25, 1.5)  # the least ratios of a "mild" and a "significant" rhythm
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,10 @@ class RhythmCycle:
         return self.trough2_x - self.trough1_x
 
 
-def classify_ratio(ratio: float, thresholds=DEFAULT_THRESHOLDS) -> str:
-    """Grade a peak-to-trough ratio: significant, mild, or none."""
-    mild, significant = thresholds
-    if not 0.0 < mild < significant:
-        raise ValueError(f"thresholds must satisfy 0 < mild < significant, got {thresholds}")
+def classify_ratio(ratio: float) -> str:
+    """Grade a peak-to-trough ratio: "significant" from 1.5, "mild" from
+    1.25, else "none" (the cut points ``THRESHOLDS``)."""
+    mild, significant = THRESHOLDS
     if ratio >= significant:
         return "significant"
     if ratio >= mild:
@@ -63,8 +62,7 @@ def _strict_minima(values: np.ndarray) -> np.ndarray:
     return mask
 
 
-def detect_rhythms(curve, window: float = DEFAULT_WINDOW,
-                   thresholds=DEFAULT_THRESHOLDS) -> list[RhythmCycle]:
+def detect_rhythms(curve, window: float = DEFAULT_WINDOW) -> list[RhythmCycle]:
     """Detect rhythmic cycles on a sampled curve.
 
     Parameters
@@ -74,14 +72,12 @@ def detect_rhythms(curve, window: float = DEFAULT_WINDOW,
         ``window`` share the same unit.
     window : float
         Dominance span checked before and after each candidate peak.
-    thresholds : (float, float)
-        Ratio cut points for the "mild" and "significant" grades.
 
     Returns
     -------
     list of RhythmCycle
-        Cycles in x order; adjacent cycles share a trough instead of
-        overlapping.
+        Cycles in x order, graded by :func:`classify_ratio`; adjacent
+        cycles share a trough instead of overlapping.
     """
     arr = np.asarray(curve, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -95,7 +91,6 @@ def detect_rhythms(curve, window: float = DEFAULT_WINDOW,
         raise ValueError("curve x values must be strictly increasing")
     if not 0.0 < window < np.inf:  # False for NaN
         raise ValueError(f"window must be positive and finite, got {window}")
-    classify_ratio(0.0, thresholds)  # validates the thresholds
 
     minima = _strict_minima(v)
     peaks = np.flatnonzero(_strict_minima(-v))
@@ -121,6 +116,6 @@ def detect_rhythms(curve, window: float = DEFAULT_WINDOW,
         cycles.append(RhythmCycle(
             trough1_x=float(x[t1]), peak_x=float(x[peak]), trough2_x=float(x[t2]),
             ratio1=r1, ratio2=r2, ratio_undefined=undefined,
-            classification="none" if undefined else classify_ratio(min(r1, r2), thresholds),
+            classification="none" if undefined else classify_ratio(min(r1, r2)),
         ))
     return cycles

@@ -100,11 +100,15 @@ def _check_penalty(lam: float) -> None:
 
 
 def _check_penalty_grid(grid) -> None:
-    """Refuse an empty grid or any value :func:`_check_penalty` refuses."""
+    """Refuse an empty grid, a repeated value, or any value :func:`_check_penalty` refuses."""
     if len(grid) == 0:
         raise ValueError("penalty grid must be nonempty")
+    seen = set()
     for lam in grid:
         _check_penalty(lam)
+        if lam in seen:
+            raise ValueError(f"penalty grid repeats {float(lam)}")
+        seen.add(lam)
 
 
 def _check_iters(iters: int) -> None:

@@ -41,8 +41,7 @@ def dist1_experiment():
 def dist2_experiment():
     """Distribution 2, n=3000, 50 replications at the single penalty 1e-1."""
     config = SimConfig(
-        dist=2, n=3000, replications=50, lambdas=(1e-1,),
-        include_raw_kde=False, seed=0,
+        dist=2, n=3000, replications=50, lambdas=(1e-1,), seed=0,
     )
     return run_experiment(config)
 
@@ -53,8 +52,7 @@ def timing_experiment():
     stage_means = {}
     for n in (500, 1000, 2000, 3000):
         config = SimConfig(
-            dist=1, n=n, replications=3, lambdas=(1e-2,),
-            include_raw_kde=False, seed=0,
+            dist=1, n=n, replications=3, lambdas=(1e-2,), seed=0,
         )
         row = run_experiment(config)[0]
         stage_means[n] = (row.step1_mean, row.step2_mean)
@@ -67,8 +65,7 @@ def size_sweep():
     rows = {}
     for n in (500, 1000, 2000, 3000):
         config = SimConfig(
-            dist=1, n=n, replications=16, lambdas=(1e-2,),
-            include_raw_kde=False, seed=0,
+            dist=1, n=n, replications=16, lambdas=(1e-2,), seed=0,
         )
         rows[n] = run_experiment(config)[0]
     return rows

@@ -262,7 +262,7 @@ def test_criterion_10_fits_satisfy_constraints():
 def test_criterion_11_mcwc_continuity():
     exact = abs(mcwc_score(0.37, 0.5, 0.5) - 0.37)
     above = abs(mcwc_score(0.37, 0.9, 0.5) - 0.37)
-    at_penalty = abs(mcwc_score(1.0, 0.45, 0.5, eta=20.0) - np.e)
+    at_penalty = abs(mcwc_score(1.0, 0.45, 0.5) - np.e)
     passed = exact == 0.0 and above == 0.0 and at_penalty < 1e-12
     check(11, "coverage penalty is continuous at the target", passed,
           f"score equals width at/above target exactly, "

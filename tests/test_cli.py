@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import argparse
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import modalband
-from modalband.cli import main
+from modalband.cli import build_parser, main
 from modalband.pipeline import atomic_write_text, fit_band, load_model
 from modalband.simulate import gen_dist1
 from modalband.spline import SplineBasis
@@ -210,26 +211,6 @@ def test_band_missing_model_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_fit_knot_flags_must_come_together(xy_csv, tmp_path, capsys):
-    code = main([
-        "fit", "--input", str(xy_csv), "--model", str(tmp_path / "m.json"),
-        "--knot-min", "0.0",
-    ])
-    assert code == 1
-    assert "--knot-min and --knot-max must be given together" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("knots", [
-    ["--knot-min", "5", "--knot-max", "1"],
-    ["--knot-min", "0", "--knot-max", "10", "--segments", "0"],
-])
-def test_fit_rejects_bad_knot_grid_in_one_line(xy_csv, tmp_path, capsys, knots):
-    code = main(["fit", "--input", str(xy_csv), "--model", str(tmp_path / "m.json"), *knots])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-
-
 @pytest.mark.parametrize("flag, value, message", [
     ("--iters", "0", "iteration budget must be at least 1, got 0"),
     ("--penalty", "0", "penalty strength must be positive and finite, got 0.0"),
@@ -258,8 +239,7 @@ def refuse_bandwidth(monkeypatch):
 
 @pytest.mark.parametrize("flags, message", [
     (["--alpha", "1.5"], "coverage level must lie in (0, 1), got 1.5"),
-    (["--knot-min", "0", "--knot-max", "5"], "outside the knot range [0.0, 5.0]"),
-], ids=["alpha", "knots"])
+], ids=["alpha"])
 def test_fit_rejects_bad_stage_one_input_before_the_bandwidth(
     xy_csv, tmp_path, capsys, monkeypatch, flags, message
 ):
@@ -272,25 +252,10 @@ def test_fit_rejects_bad_stage_one_input_before_the_bandwidth(
     assert not (tmp_path / "m.json").exists()
 
 
-def test_fit_rejects_bad_grid_points_before_stage_one(xy_csv, tmp_path, capsys, monkeypatch):
-    def stage_one(*args, **kwargs):
-        raise AssertionError("stage 1 ran")
-
-    monkeypatch.setattr(modalband.pipeline, "run_step1", stage_one)
-    code = main(["fit", "--input", str(xy_csv), "--model", str(tmp_path / "m.json"),
-                 "--band", str(tmp_path / "b.csv"), "--grid-points", "1"])
-    assert code == 1
-    assert capsys.readouterr().err == "error: --grid-points must be at least 2, got 1\n"
-    assert not (tmp_path / "m.json").exists()
-    assert not (tmp_path / "b.csv").exists()
-
-
 @pytest.mark.parametrize("command, flags, message", [
     ("fit", ["--segments", "0"], "segments must be at least 1, got 0"),
     ("cv", ["--segments", "0"], "segments must be at least 1, got 0"),
-    # cv has no knot range options: its grid always spans x
-    ("fit", ["--knot-min", "0", "--knot-max", "5"], "outside the knot range [0.0, 5.0]"),
-], ids=["no-segments-fit", "no-segments-cv", "uncovered-fit"])
+], ids=["no-segments-fit", "no-segments-cv"])
 def test_fit_and_cv_refuse_an_unfittable_basis_before_the_bandwidth(
     xy_csv, tmp_path, capsys, recwarn, monkeypatch, command, flags, message
 ):
@@ -438,6 +403,28 @@ def test_a_byte_order_mark_before_the_header_is_skipped(xy_csv, tmp_path, capsys
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("command", ["fit", "rhythm"])
+@pytest.mark.parametrize("fault, line, message", [
+    ("oversized", 3, "field larger than field limit (131072)"),
+    ("latin-1", 2, "byte 0xe9 is not UTF-8"),
+], ids=["oversized", "latin-1"])
+def test_an_unreadable_csv_line_is_one_error_that_names_the_file(
+    tmp_path, capsys, command, fault, line, message
+):
+    header = {"fit": "x,y", "rhythm": "x,lower,upper,midpoint"}[command]
+    row = ",".join(["1.0"] * len(header.split(",")))
+    body = {"oversized": f"{row}\n{'9' * 200_000},2.0\n",
+            "latin-1": "1.0,caf\xe9\n"}[fault]
+    source = tmp_path / "in.csv"
+    source.write_bytes((header + "\n" + body).encode("latin-1"))
+    out = tmp_path / "out.csv"
+    argv = {"fit": ["fit", "--input", str(source), "--model", str(out)],
+            "rhythm": ["rhythm", "--input", str(source), "--output", str(out)]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {source}: line {line}: {message}\n"
+    assert not out.exists()
+
+
 def test_invalid_lambda_list(xy_csv, tmp_path, capsys):
     out = str(tmp_path / "cv.csv")
     assert main(["cv", "--input", str(xy_csv), "--output", out,
@@ -512,11 +499,10 @@ def test_cv_writes_score_table(xy_csv, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--iters", "0", "iteration budget must be at least 1, got 0"),
-    ("--eta", "0", "eta must be positive, got 0.0"),
     ("--alpha", "1.5", "coverage level must lie in (0, 1), got 1.5"),
     ("--lambdas", "nan,1e-2", "penalty strength must be positive and finite, got nan"),
     ("--lambdas", "inf,1e-2", "penalty strength must be positive and finite, got inf"),
-], ids=["iters", "eta", "alpha", "lambda-nan", "lambda-inf"])
+], ids=["iters", "alpha", "lambda-nan", "lambda-inf"])
 def test_cv_rejects_bad_solver_settings_before_fitting(
     xy_csv, tmp_path, capsys, recwarn, flag, value, message
 ):
@@ -526,6 +512,19 @@ def test_cv_rejects_bad_solver_settings_before_fitting(
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not recwarn.list  # no fold was fitted
     assert not (tmp_path / "cv.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["cv", "simulate"])
+def test_a_repeated_penalty_is_refused_before_fitting(xy_csv, tmp_path, capsys, recwarn, command):
+    # 1e-2 and 0.01 are one value: each fold, or the replication, would fit it twice
+    out = tmp_path / "out"
+    argv = {"cv": ["cv", "--input", str(xy_csv), "--output", str(out), "--seed", "1"],
+            "simulate": ["simulate", "--dist", "1", "--n", "150", "--reps", "1",
+                         "--seed", "0", "--out-dir", str(out)]}[command]
+    assert main(argv + ["--lambdas", "1e-2,0.01,1e-1"]) == 1
+    assert capsys.readouterr().err == "error: penalty grid repeats 0.01\n"
+    assert not recwarn.list  # nothing was fitted
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -565,18 +564,6 @@ def test_simulate_outputs_are_reproducible(xy_csv, tmp_path, capsys):
     assert no_temp_leftovers(first)
 
 
-def test_simulate_no_raw_kde_writes_only_band_rows(tmp_path, capsys):
-    code = main(["simulate", "--dist", "1", "--n", "120", "--reps", "1",
-                 "--lambdas", "1e-2,1e-1", "--test-size", "100", "--seed", "7",
-                 "--no-raw-kde", "--out-dir", str(tmp_path)])
-    assert code == 0
-    _, rows = read_table(tmp_path / "replications.csv")
-    assert [r[0] for r in rows] == ["kde_mir", "kde_mir"]
-    _, rows = read_table(tmp_path / "summary.csv")
-    assert {r[0] for r in rows} == {"kde_mir"}
-    capsys.readouterr()
-
-
 def test_simulate_refuses_a_file_as_output_directory_before_any_replication(
     tmp_path, capsys, monkeypatch
 ):
@@ -612,18 +599,55 @@ def test_simulate_rejects_non_finite_penalty_before_fitting(tmp_path, capsys, re
     assert not (tmp_path / "replications.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["fit", "cv", "simulate"])
-def test_the_source_size_is_no_option(xy_csv, tmp_path, capsys, command):
-    # stage 1's conditional distributions take a fixed 1000-point source
-    argv = {"fit": ["--input", str(xy_csv), "--model", str(tmp_path / "m.json")],
+# Settings that are constants now: stage 1's 1000-point source, fit's knot
+# range (the data's x range) and 201-point band grid, cv's penalty rate 20,
+# the rhythm grades 1.25 and 1.5, and simulate's comparator arm.
+REMOVED_SETTINGS = [
+    ("fit", ["--cap", "1000"]), ("cv", ["--cap", "1000"]), ("simulate", ["--cap", "1000"]),
+    ("fit", ["--knot-min", "0"]), ("fit", ["--knot-max", "10"]),
+    ("fit", ["--grid-points", "201"]), ("cv", ["--eta", "20"]),
+    ("simulate", ["--no-raw-kde"]),
+    ("rhythm", ["--mild", "1.25"]), ("rhythm", ["--significant", "1.5"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", REMOVED_SETTINGS,
+                         ids=[f"{c}-{f[0][2:]}" for c, f in REMOVED_SETTINGS])
+def test_a_removed_setting_is_no_option(xy_csv, tmp_path, capsys, command, flags):
+    argv = {"fit": ["--input", str(xy_csv), "--model", str(tmp_path / "m.json"),
+                    "--band", str(tmp_path / "band.csv")],
             "cv": ["--input", str(xy_csv), "--output", str(tmp_path / "cv.csv"), "--seed", "0"],
             "simulate": ["--dist", "1", "--n", "100", "--reps", "1", "--seed", "0",
-                         "--out-dir", str(tmp_path)]}[command]
+                         "--out-dir", str(tmp_path)],
+            "rhythm": ["--input", str(xy_csv), "--output", str(tmp_path / "cycles.csv")],
+            }[command]
     with pytest.raises(SystemExit) as exit_info:
-        main([command, *argv, "--cap", "1000"])
+        main([command, *argv, *flags])
     assert exit_info.value.code == 2
-    assert "unrecognized arguments: --cap 1000" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+# Every option of each subcommand, so that a new or a removed one shows here.
+OPTIONS = {
+    "fit": ["--alpha", "--band", "--input", "--iters", "--model", "--penalty", "--seed",
+            "--segments"],
+    "cv": ["--alpha", "--folds", "--input", "--iters", "--lambdas", "--output", "--seed",
+           "--segments"],
+    "simulate": ["--alpha", "--dist", "--iters", "--lambdas", "--n", "--out-dir", "--reps",
+                 "--seed", "--test-size"],
+    "band": ["--grid-max", "--grid-min", "--grid-points", "--model", "--output"],
+    "rhythm": ["--input", "--output", "--window"],
+}
+
+
+def test_each_subcommand_has_exactly_its_options():
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    assert sorted(commands) == sorted(OPTIONS)
+    for name, sub in commands.items():
+        found = sorted(s for action in sub._actions for s in action.option_strings)
+        assert found == sorted(OPTIONS[name] + ["--help", "-h"]), name
 
 
 # ---------------------------------------------------------------------------
@@ -651,37 +675,12 @@ def test_rhythm_detects_daily_cycles_in_a_band_csv(tmp_path, capsys):
     assert no_temp_leftovers(tmp_path)
 
 
-def test_rhythm_threshold_flags_change_grades(tmp_path, capsys):
-    x = np.arange(241.0)
-    band = tmp_path / "band.csv"
-    write_band_csv(band, x, 2.0 + np.sin(2.0 * np.pi * x / 28.0))
-
-    out = tmp_path / "cycles.csv"
-    code = main(["rhythm", "--input", str(band), "--output", str(out),
-                 "--mild", "4.0", "--significant", "5.0"])
-    assert code == 0
-    _, rows = read_table(out)
-    assert {row[5] for row in rows} == {"none"}
-    capsys.readouterr()
-
-
 def test_rhythm_rejects_wrong_header(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n1,2\n")
     assert main(["rhythm", "--input", str(bad),
                  "--output", str(tmp_path / "o.csv")]) == 1
     assert "expected header 'x,lower,upper,midpoint'" in capsys.readouterr().err
-
-
-def test_rhythm_invalid_thresholds(tmp_path, capsys):
-    x = np.arange(0.0, 100.0)
-    band = tmp_path / "band.csv"
-    write_band_csv(band, x, np.full(x.size, 0.5))
-    code = main(["rhythm", "--input", str(band),
-                 "--output", str(tmp_path / "o.csv"),
-                 "--mild", "1.5", "--significant", "1.25"])
-    assert code == 1
-    assert "thresholds must satisfy" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

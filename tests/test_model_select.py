@@ -44,7 +44,7 @@ def test_mcwc_no_penalty_at_or_above_target():
 
 
 def test_mcwc_penalty_value():
-    assert abs(mcwc_score(1.0, 0.45, 0.5, eta=20.0) - np.e) < 1e-12
+    assert abs(mcwc_score(1.0, 0.45, 0.5) - np.e) < 1e-12
 
 
 def test_mcwc_strictly_decreasing_in_coverage_below_target():
@@ -73,7 +73,7 @@ def test_band_metrics_hand_computation():
 def test_band_metrics_penalized_when_coverage_short():
     band = constant_band(2.0, 8.0)
     test = Dataset([1.0, 3.0, 5.0, 6.0, 7.0, 9.0], [1.0, 2.0, 3.0, 5.0, 8.0, 9.0])
-    metrics = band_metrics(band, test, alpha=0.8, eta=20.0)
+    metrics = band_metrics(band, test, alpha=0.8)
     expected = metrics.nmmiw * np.exp(-20.0 * (4.0 / 6.0 - 0.8))
     assert metrics.mcwc == pytest.approx(expected, rel=1e-14)
 
@@ -90,9 +90,6 @@ def test_band_metrics_drops_points_outside_domain():
 
 def test_band_metrics_errors():
     band = constant_band(2.0, 8.0)
-    for eta in (0.0, np.nan):
-        with pytest.raises(ValueError, match="eta must be positive"):
-            band_metrics(band, Dataset([1.0, 2.0], [3.0, 4.0]), 0.5, eta=eta)
     with pytest.raises(ValueError, match="zero range"):
         band_metrics(band, Dataset([1.0, 2.0], [3.0, 3.0]), 0.5)
     with warnings.catch_warnings():
@@ -170,11 +167,19 @@ def test_cv_singleton_grid():
     assert result.mean_scores[0] == pytest.approx(result.fold_scores[0].mean())
 
 
-def test_cv_tie_takes_first_grid_entry():
+def test_cv_tie_takes_first_grid_entry(monkeypatch):
+    # every fold is fitted at 1e-2, so both penalties score alike
     data = gen_dist1(120, philox(56))
-    result = select_lambda_cv(data, [1e-2, 1e-2], folds=2, seed=1, basis=ten_segments(data))
+    real = model_select.run_step2
+
+    def fixed_penalty(train, step1, basis, lam, **kwargs):
+        return real(train, step1, basis, 1e-2, **kwargs)
+
+    monkeypatch.setattr(model_select, "run_step2", fixed_penalty)
+    result = select_lambda_cv(data, [1e-1, 1e-2], folds=2, seed=1, basis=ten_segments(data))
     assert result.mean_scores[0] == result.mean_scores[1]
     assert result.selected_index == 0
+    assert result.selected == 1e-1  # the first entry, not the smallest
 
 
 def test_cv_deterministic_for_fixed_seed():
@@ -230,6 +235,8 @@ def test_cv_validation_errors():
     for lam in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match=f"penalty strength must be positive and finite, got {lam}"):
             select_lambda_cv(data, [1e-2, lam], folds=2, seed=0)
+    with pytest.raises(ValueError, match="^penalty grid repeats 0.01$"):
+        select_lambda_cv(data, [1e-2, 0.01, 1e-1], folds=2, seed=0)
     with pytest.raises(ValueError, match="at least 2 folds"):
         select_lambda_cv(data, [1e-2], folds=1, seed=0)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):

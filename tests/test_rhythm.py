@@ -25,18 +25,6 @@ def test_classify_ratio_grades():
     assert classify_ratio(0.0) == "none"
 
 
-def test_classify_ratio_custom_thresholds():
-    assert classify_ratio(1.3, thresholds=(1.1, 1.2)) == "significant"
-    assert classify_ratio(1.15, thresholds=(1.1, 1.2)) == "mild"
-
-
-def test_classify_ratio_rejects_bad_thresholds():
-    with pytest.raises(ValueError, match="0 < mild < significant"):
-        classify_ratio(1.0, thresholds=(1.5, 1.25))
-    with pytest.raises(ValueError, match="0 < mild < significant"):
-        classify_ratio(1.0, thresholds=(0.0, 1.5))
-
-
 # ---------------------------------------------------------------------------
 # detect_rhythms
 # ---------------------------------------------------------------------------
@@ -102,7 +90,7 @@ def test_consecutive_cycles_never_overlap_on_random_curves():
     assert pairs > 1000 and shared > 100  # the shared-trough case is exercised
 
 
-def reference_rhythms(curve, window, thresholds=(1.25, 1.5)):
+def reference_rhythms(curve, window):
     """The grading rule from its definition, with whole-curve masks per peak.
 
     A peak is an interior point above both neighbours that strictly exceeds
@@ -129,7 +117,7 @@ def reference_rhythms(curve, window, thresholds=(1.25, 1.5)):
             continue
         r1, r2 = v[p] / v[t1], v[p] / v[t2]
         cycles.append(RhythmCycle(x[t1], x[p], x[t2], r1, r2,
-                                  classify_ratio(min(r1, r2), thresholds)))
+                                  classify_ratio(min(r1, r2))))
     return cycles
 
 
@@ -248,5 +236,3 @@ def test_detect_rhythms_validation():
     for window in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="window must be positive"):
             detect_rhythms(good, window=window)
-    with pytest.raises(ValueError, match="0 < mild < significant"):
-        detect_rhythms(good, thresholds=(2.0, 1.5))

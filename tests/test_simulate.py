@@ -159,6 +159,8 @@ def test_config_validation():
         SimConfig(dist=1, n=100, lambdas=())
     with pytest.raises(ValueError, match="penalty strength must be positive and finite, got -1.0"):
         SimConfig(dist=1, n=100, lambdas=(1e-2, -1.0))
+    with pytest.raises(ValueError, match="^penalty grid repeats 0.01$"):
+        SimConfig(dist=1, n=100, lambdas=(1e-2, 0.01, 1e-1))
     with pytest.raises(ValueError, match=r"coverage level must lie in \(0, 1\), got 1.0"):
         SimConfig(dist=1, n=100, alpha=1.0)
     with pytest.raises(ValueError, match="test_size"):
@@ -201,11 +203,13 @@ def test_replication_failure_is_skipped_with_warning(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(simulate, "run_step1", flaky)
-    config = tiny_config(replications=12, include_raw_kde=False)
+    config = tiny_config(replications=12)
     with pytest.warns(RuntimeWarning, match=r"replication 3 \(seed \[11, 3\]\) failed"):
         results = run_replications(config)
-    assert len(results) == 11
-    assert sorted(r.rep for r in results) == [r for r in range(12) if r != 3]
+    assert len(results) == 2 * 11  # band and comparator rows of the other replications
+    for method in (METHOD_BAND, METHOD_RAW):
+        reps = sorted(r.rep for r in results if r.method == method)
+        assert reps == [r for r in range(12) if r != 3]
 
 
 def test_too_many_failures_abort(monkeypatch):
