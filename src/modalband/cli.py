@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import astuple
@@ -36,10 +37,12 @@ BAND_POINTS = 201  # grid of fit's band CSV, and band's default grid
 
 
 def _csv_rows(path: str, handle):
-    """The rows of a CSV text file; a line that csv or UTF-8 cannot read is one error."""
+    """(line, row) of each row of a CSV text file, ``line`` the one it ends on;
+    a line that csv or UTF-8 cannot read is one error."""
     reader = csv.reader(handle)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
@@ -58,15 +61,15 @@ def _csv_rows(path: str, handle):
 
 
 def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Read a headered numeric CSV; malformed rows name their line number."""
+    """Read a headered CSV of finite numbers; malformed rows name their line."""
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     with handle:
-        reader = _csv_rows(path, handle)
+        rows = _csv_rows(path, handle)
         try:
-            header = next(reader)
+            _, header = next(rows)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [cell.strip() for cell in header]
@@ -76,7 +79,7 @@ def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
                 f"got '{','.join(header)}'"
             )
         data: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != len(columns):
@@ -91,6 +94,8 @@ def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
                     raise ValueError(
                         f"{path}: line {lineno}: non-numeric value {cell!r}"
                     ) from None
+                if not math.isfinite(values[-1]):
+                    raise ValueError(f"{path}: line {lineno}: non-finite value {cell!r}")
             data.append(values)
     if not data:
         raise ValueError(f"{path}: no data rows")

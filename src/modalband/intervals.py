@@ -10,13 +10,14 @@ The scan behind :func:`estimate_levels_all` and :func:`estimate_intervals_at`
 takes each distinct query value once, 64 to a block in order of x,
 against the source sample of :func:`_capped_source`: every observation
 up to 1000 of them, and above that a seeded 1000-point subsample plus
-each observation it leaves without kernel support.  A block visits only the
-sources within the kernel's reach of its queries and the distinct
-responses among them: every weight beyond the reach is under the
-relative floor of :mod:`.kde`, so it is zero.  The masses are sequential
-sums, which the left-out zero weights do not change, and a zero-mass atom
-is no endpoint, so the scan's endpoints and levels equal, bit for bit,
-those of :func:`shortest_interval` and :func:`mi_quantile_levels` on one
+each observation it leaves without kernel support.  A block visits one
+run of the sources sorted by x, from its queries' smallest left reach to
+their largest right reach, and the distinct responses among them: every
+weight beyond a query's reach is under the relative floor of :mod:`.kde`,
+so it is zero.  The masses are sequential sums, which zero weights, left
+out or not, do not change, and a zero-mass atom is no endpoint, so the
+scan's endpoints and levels equal, bit for bit, those of
+:func:`shortest_interval` and :func:`mi_quantile_levels` on one
 ``conditional_cdf`` per query, which stay as the per-query reference.
 """
 
@@ -207,11 +208,11 @@ def _capped_source(data: Dataset, h: float, rng) -> Dataset:
 class _Block:
     """Work arrays of the level scan, allocated once per scan.
 
-    They hold ``rows`` queries against ``n`` source points with ``m``
-    distinct responses.  :meth:`view` lays a block of any smaller shape over
-    the leading elements of each, so every block's arrays are contiguous,
-    and every block writes into them with ``out=``: the scan does not
-    return rows x m temporaries to the allocator per block.
+    They hold ``rows`` queries against the ``n`` sources of the widest
+    window, with at most ``m`` distinct responses.  :meth:`view` lays a
+    smaller block over the leading elements of each, so every block's
+    arrays are contiguous, and every block writes into them with ``out=``:
+    the scan does not return rows x m temporaries to the allocator per block.
     """
 
     _PER_SOURCE = ("u", "w", "floored", "bins")
@@ -308,9 +309,11 @@ def _windows(source_x: np.ndarray, x0: np.ndarray, h: float):
     ``x0`` holds sorted, distinct, finite queries, taken _QUERY_BLOCK at a
     time.  A query's weights fall below RELATIVE_FLOOR times its largest
     weight, which sits at its nearest source (distance d), beyond the reach
-    h * sqrt((d/h)^2 - 2 ln RELATIVE_FLOOR).  A block's window holds, in
-    source order, the sources within reach of any of its queries; every
-    weight outside it is zero after the floor.
+    h * sqrt((d/h)^2 - 2 ln RELATIVE_FLOOR).  A block's window is the run
+    of sources sorted by x from its queries' smallest left reach to their
+    largest right reach, in source order: every weight outside it, and
+    every weight inside it beyond its own query's reach, is zero after the
+    floor.  Returns a list of (slice, window) pairs.
     """
     order = np.argsort(source_x, kind="stable")
     xs = source_x[order]
@@ -319,16 +322,11 @@ def _windows(source_x: np.ndarray, x0: np.ndarray, h: float):
     # reach by ~1e-14 of itself; x0 +- reach rounds to the float nearest
     # it, so no source between it and the exact bound is missed
     reach = h * np.sqrt((d / h) ** 2 - 2.0 * np.log(RELATIVE_FLOOR)) * (1.0 + 2.0**-20)
-    lo = np.searchsorted(xs, x0 - reach, "left")
-    hi = np.searchsorted(xs, x0 + reach, "right")
-    inside = np.empty(xs.size, bool)
-    for start in range(0, x0.size, _QUERY_BLOCK):
-        block = slice(start, start + _QUERY_BLOCK)
-        # sorted sources covered by some [lo, hi) of the block
-        cover = np.bincount(lo[block], minlength=xs.size + 1)
-        cover -= np.bincount(hi[block], minlength=xs.size + 1)
-        inside[order] = np.cumsum(cover[:-1]) > 0
-        yield block, np.flatnonzero(inside)
+    starts = np.arange(0, x0.size, _QUERY_BLOCK)
+    lo = np.minimum.reduceat(np.searchsorted(xs, x0 - reach, "left"), starts)
+    hi = np.maximum.reduceat(np.searchsorted(xs, x0 + reach, "right"), starts)
+    return [(slice(s, s + _QUERY_BLOCK), np.sort(order[a:b]))
+            for s, a, b in zip(starts, lo, hi)]
 
 
 def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, rng):
@@ -338,8 +336,9 @@ def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, rng):
     Each block of :func:`_windows` forms the kernel weights of its window,
     floors them as :func:`conditional_cdf` does, and pools them onto the
     window's distinct responses in source order.  The sources and
-    responses it leaves out carry zero weight, which changes no sequential
-    sum of ``WeightedECDF.from_samples``, so the levels equal those of one
+    responses it leaves out, like the window's sources beyond a query's
+    reach, carry zero weight, which changes no sequential sum of
+    ``WeightedECDF.from_samples``, so the levels equal those of one
     conditional CDF per query to the last bit.
     """
     _check_alpha(alpha)
@@ -352,17 +351,15 @@ def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, rng):
     # queries share one scan row
     scanned = queries[:np.argmax(failing)] if failing.any() else queries
     distinct, back = np.unique(scanned, return_inverse=True)
-    full = _Block(min(_QUERY_BLOCK, distinct.size), source.x.size, values.size)
-    present = np.empty(values.size, bool)
+    windows = _windows(source.x, distinct, h)
+    widest = max((window.size for _, window in windows), default=0)
+    full = _Block(min(_QUERY_BLOCK, distinct.size), widest, min(widest, values.size))
     out = np.empty((4, distinct.size))
     failed = np.zeros(distinct.size, bool)
-    for block, window in _windows(source.x, distinct, h):
+    for block, window in windows:
         x0 = distinct[block]
         rows = x0.size
-        responses = inverse[window]
-        present.fill(False)
-        present[responses] = True
-        support = np.flatnonzero(present)
+        support, local = np.unique(inverse[window], return_inverse=True)
         b = full.view(rows, window.size, support.size)
         # gaussian_kernel((source.x - x0) / h), floored as in conditional_cdf
         np.subtract(source.x[window], x0[:, None], out=b.u)
@@ -376,7 +373,6 @@ def _scan(data: Dataset, queries: np.ndarray, alpha: float, h: float, rng):
         np.less(b.w, floor[:, None], out=b.floored)
         np.copyto(b.w, 0.0, where=b.floored)
         # row r pools its weights into bins r*m to r*m + m - 1 of the support
-        local = (np.cumsum(present) - 1)[responses]
         np.add(local, support.size * np.arange(rows)[:, None], out=b.bins)
         # np.bincount, not np.add.at into b.pw: add.at is slow before numpy 1.25
         pooled = np.bincount(b.bins.ravel(), weights=b.w.ravel(), minlength=b.pw.size)

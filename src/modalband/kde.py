@@ -256,20 +256,18 @@ def _pair_counts(x: np.ndarray, nbins: int):
     return centers, counts
 
 
-def _phi4_sum(g: float, centers: np.ndarray, counts: np.ndarray, n: int) -> float:
-    """Estimate of the integrated squared second density derivative."""
-    u = centers / g
-    term = (u**4 - 6.0 * u**2 + 3.0) * np.exp(-0.5 * u * u) / _SQRT_2PI
-    s = 2.0 * float(counts @ term) + n * 3.0 / _SQRT_2PI
-    return s / (n * (n - 1) * g**5)
+def _psi_sum(r: int, g: float, centers: np.ndarray, counts: np.ndarray, n: int) -> float:
+    """Pilot estimate of psi_r, the integral of f^(r) f, at bandwidth g.
 
-
-def _phi6_sum(g: float, centers: np.ndarray, counts: np.ndarray, n: int) -> float:
-    """Estimate of the (negative) integrated squared third density derivative."""
+    psi_4 is the integrated squared second density derivative and psi_6
+    minus the squared third's.  K^(r)(u) = He_r(u) K(u) for even r.
+    """
+    hermite = {4: lambda u: u**4 - 6.0 * u**2 + 3.0,
+               6: lambda u: u**6 - 15.0 * u**4 + 45.0 * u**2 - 15.0}[r]
     u = centers / g
-    term = (u**6 - 15.0 * u**4 + 45.0 * u**2 - 15.0) * np.exp(-0.5 * u * u) / _SQRT_2PI
-    s = 2.0 * float(counts @ term) + n * (-15.0) / _SQRT_2PI
-    return s / (n * (n - 1) * g**7)
+    term = hermite(u) * np.exp(-0.5 * u * u) / _SQRT_2PI
+    s = 2.0 * float(counts @ term) + n * hermite(0.0) / _SQRT_2PI
+    return s / (n * (n - 1) * g ** (r + 1))
 
 
 def _find_root(f, lo: float, hi: float, xtol: float = 0.0, maxiter: int = 200) -> float:
@@ -350,14 +348,14 @@ def _plug_in_root(x: np.ndarray, n: int, sd: float) -> float:
 
     a = 1.24 * scale * n ** (-1.0 / 7.0)
     b = 1.23 * scale * n ** (-1.0 / 9.0)
-    td = -_phi6_sum(b, centers, counts, n)
-    sda = _phi4_sum(a, centers, counts, n)
+    td = -_psi_sum(6, b, centers, counts, n)
+    sda = _psi_sum(4, a, centers, counts, n)
     if not np.isfinite(td) or td <= 0.0 or not np.isfinite(sda) or sda <= 0.0:
         return np.nan
     alpha2 = 1.357 * (sda / td) ** (1.0 / 7.0)
 
     def gap(h: float) -> float:
-        psi = _phi4_sum(alpha2 * h ** (5.0 / 7.0), centers, counts, n)
+        psi = _psi_sum(4, alpha2 * h ** (5.0 / 7.0), centers, counts, n)
         if not np.isfinite(psi) or psi <= 0.0:
             return np.nan
         return (1.0 / (2.0 * np.sqrt(np.pi) * n * psi)) ** 0.2 - h

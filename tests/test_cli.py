@@ -379,6 +379,37 @@ def test_dataset_errors_name_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ")
     assert "non-finite" in err
+    assert "line 2" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ('x,y\n"1\n",2\n3,abc\n', "line 4: non-numeric value 'abc'"),
+    ('x,y\n"1\n",2\n3,4,5\n', "line 4: expected 2 fields, got 3"),
+], ids=["non-numeric", "field-count"])
+def test_errors_after_a_multi_line_field_name_the_file_line(tmp_path, capsys, text, message):
+    # the quoted field spans lines 2 and 3, so the faulty row is on line 4
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    model = tmp_path / "m.json"
+    assert main(["fit", "--input", str(bad), "--model", str(model)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "cv", "rhythm"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_a_non_finite_value_names_its_line(tmp_path, capsys, command, cell):
+    header = "x,lower,upper,midpoint" if command == "rhythm" else "x,y"
+    commas = header.count(",")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{header}\n" + "1.0," * commas + "1.0\n" + "2.0," * commas + f"{cell}\n")
+    out = tmp_path / "out"
+    argv = {"fit": ["fit", "--input", str(bad), "--model", str(out)],
+            "cv": ["cv", "--input", str(bad), "--output", str(out), "--seed", "1"],
+            "rhythm": ["rhythm", "--input", str(bad), "--output", str(out)]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 3: non-finite value {cell!r}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "rhythm"])

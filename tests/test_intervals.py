@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,6 +459,12 @@ def scan_case(name):
         x = np.repeat(np.linspace(-2.0, 2.0, 21), 4)
         x[np.flatnonzero(x == 0.0)[::2]] = -0.0
         data = Dataset(x, rng.normal(size=x.size))
+    elif name == "sparse-queries":
+        # one block of 10 queries 1.0 apart, over twice the reach 8.6h: its
+        # window spans the sources between them, which are out of every
+        # query's reach
+        data, h = gen_dist1(1000, 5), 0.05
+        queries = np.linspace(0.5, 9.5, 10)
     elif name in ("nan-first", "nan-last"):
         # replicated covariates, queried with one NaN at either end
         x = np.repeat(np.linspace(0.0, 10.0, 41), 3)
@@ -470,9 +477,10 @@ def scan_case(name):
 SCAN_CASES = ["dist1", "tied", "hourly", "above-cap", "heavy-atom", "equal-weights",
               "underflow", "queries-1", "queries-63", "queries-64", "queries-65",
               "queries-129", "shuffled", "far-queries", "far-outlier", "far-outlier-40h",
-              "offset", "far-cluster", "hourly-x10", "signed-zero", "nan-first", "nan-last"]
+              "offset", "far-cluster", "hourly-x10", "signed-zero", "nan-first", "nan-last",
+              "sparse-queries"]
 # cases where every query has kernel support
-SUPPORTED = {"above-cap", "far-outlier", "far-outlier-40h"}
+SUPPORTED = {"above-cap", "far-outlier", "far-outlier-40h", "sparse-queries"}
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
@@ -578,8 +586,9 @@ def test_estimate_intervals_take_scalar_empty_and_1d_queries_only():
 
 
 def test_level_scan_windows_leave_out_only_floored_weights():
-    # every weight a block leaves out is under its row's floor, and the
-    # blocks slice the sorted, distinct queries into consecutive runs
+    # every weight a block leaves out is under its row's floor, each window
+    # is one run of the sources sorted by x, and the blocks slice the
+    # sorted, distinct queries into consecutive runs
     rng = np.random.default_rng(31)
     for trial in range(90):
         n = int(rng.integers(1, 300))
@@ -593,6 +602,9 @@ def test_level_scan_windows_leave_out_only_floored_weights():
         for block, window in _windows(x, queries, h):
             assert isinstance(block, slice)
             assert np.all(np.diff(window) > 0)  # source order
+            # every source from the window's smallest x to its largest
+            low, high = x[window].min(), x[window].max()
+            assert np.array_equal(np.flatnonzero((x >= low) & (x <= high)), window)
             weights = gaussian_kernel((x - queries[block][:, None]) / h)
             floor = np.maximum(RELATIVE_FLOOR * weights.max(axis=1), WEIGHT_FLOOR)
             outside = np.ones(n, bool)
@@ -620,6 +632,20 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 estimate_levels_all(data, 0.5, 0.3)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+
+def test_level_scan_arrays_are_sized_by_the_widest_window():
+    # at h = 0.01 a window holds a few dozen of the 1 000 sources: block
+    # arrays sized by the widest window peak near 0.7 MB, and ones sized by
+    # the whole source near 5.1 MB
+    data = gen_dist1(1000, 3)
+    tracemalloc.start()
+    try:
+        estimate_levels_all(data, 0.5, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")

@@ -291,23 +291,26 @@ def test_bandwidth_falls_back_when_a_pilot_functional_is_not_positive(draw):
     assert select_bandwidth(x) == normal_reference_bandwidth(x)
 
 
-def patch_phi4(monkeypatch, value_after):
-    """Make kde._phi4_sum return the real value for the first ``value_after``
-    calls (the first is the pilot functional), then NaN; returns the call log."""
-    real, calls = kde._phi4_sum, []
+def patch_psi4(monkeypatch, psi4):
+    """Make kde._psi_sum return ``psi4(value, k)`` on its k-th call for
+    psi_4 (the first is the pilot functional), ``value`` being the real
+    one; psi_6 stays real.  Returns the bandwidths psi_4 was asked at."""
+    real, calls = kde._psi_sum, []
 
-    def phi4(*args):
+    def psi(r, *args):
+        if r != 4:
+            return real(r, *args)
         calls.append(args[0])
-        return real(*args) if len(calls) <= value_after else np.nan
+        return psi4(real(r, *args), len(calls))
 
-    monkeypatch.setattr(kde, "_phi4_sum", phi4)
+    monkeypatch.setattr(kde, "_psi_sum", psi)
     return calls
 
 
 def test_bandwidth_falls_back_when_a_bracket_end_is_undefined(monkeypatch):
     x = np.random.default_rng(3).standard_normal(200)
     assert select_bandwidth(x) != normal_reference_bandwidth(x)
-    calls = patch_phi4(monkeypatch, value_after=1)
+    calls = patch_psi4(monkeypatch, lambda value, k: value if k <= 1 else np.nan)
     assert select_bandwidth(x) == normal_reference_bandwidth(x)
     assert len(calls) == 3  # the pilot, then both ends of the first bracket
 
@@ -316,8 +319,7 @@ def test_bandwidth_falls_back_when_no_bracket_changes_sign(monkeypatch):
     # with psi4 fixed at 1e300 the equation's right side is ~1e-61, far
     # below every bracket, so its gap stays negative and finite
     x = np.random.default_rng(3).standard_normal(200)
-    calls = []
-    monkeypatch.setattr(kde, "_phi4_sum", lambda *args: calls.append(args[0]) or 1e300)
+    calls = patch_psi4(monkeypatch, lambda value, k: 1e300)
     assert select_bandwidth(x) == normal_reference_bandwidth(x)
     assert len(calls) == 1 + 2 + 99  # the pilot, the first bracket, 99 expansions
 
@@ -326,7 +328,7 @@ def test_bandwidth_falls_back_when_the_root_is_undefined(monkeypatch):
     x = np.random.default_rng(3).standard_normal(200)
     # the first bracket changes sign; the root search evaluates its ends
     # again, and then its first inner point is undefined
-    calls = patch_phi4(monkeypatch, value_after=5)
+    calls = patch_psi4(monkeypatch, lambda value, k: value if k <= 5 else np.nan)
     assert select_bandwidth(x) == normal_reference_bandwidth(x)
     assert len(calls) == 6
 
