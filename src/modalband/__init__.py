@@ -19,7 +19,7 @@ from .pipeline import (
 )
 from .rhythm import RhythmCycle, detect_rhythms
 from .simulate import SimConfig, gen_dist1, gen_dist2, run_experiment
-from .solver import FittedBand, admm_fit, assemble
+from .solver import FittedBand
 from .spline import SplineBasis
 
 __version__ = "0.1.0"
@@ -33,8 +33,6 @@ __all__ = [
     "SimConfig",
     "SplineBasis",
     "Step1Result",
-    "admm_fit",
-    "assemble",
     "band_metrics",
     "detect_rhythms",
     "fit_band",

@@ -1,16 +1,15 @@
 """Command-line interface.
 
-Commands: fit, cv, simulate, band, rhythm.  Inputs are headered CSV
-files; every output file is written atomically (temp file plus rename)
-with numbers at nine significant digits.  Errors print a single
+Commands: fit, cv, simulate, band, rhythm.  Each command parses its
+arguments, checks its paths, calls the library and prints; the files are
+read and written by :mod:`modalband.pipeline` (headered CSV inputs, atomic
+outputs with numbers at nine significant digits).  Errors print a single
 machine-parsable line to stderr and exit nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import math
 import os
 import sys
 from dataclasses import astuple
@@ -19,7 +18,7 @@ import numpy as np
 
 from .kde import Dataset
 from .model_select import select_lambda_cv
-from .pipeline import fit_band, load_model, save_model, write_csv
+from .pipeline import fit_band, load_model, read_csv, save_model, write_csv
 from .rhythm import DEFAULT_WINDOW, detect_rhythms
 from .simulate import (
     DEFAULT_LAMBDA_GRID,
@@ -36,79 +35,8 @@ __all__ = ["main"]
 BAND_POINTS = 201  # grid of fit's band CSV, and band's default grid
 
 
-def _csv_rows(path: str, handle):
-    """(line, row) of each row of a CSV text file, ``line`` the one it ends on;
-    a line that csv or UTF-8 cannot read is one error."""
-    reader = csv.reader(handle)
-    try:
-        for row in reader:
-            yield reader.line_num, row
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        # text is decoded in blocks ahead of the reader, so the line of the
-        # first undecodable byte is counted in the file's bytes
-        with open(path, "rb") as binary:
-            raw = binary.read()
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = raw.count(b"\n", 0, exc.start) + 1
-            raise ValueError(
-                f"{path}: line {line}: byte {raw[exc.start]:#04x} is not UTF-8"
-            ) from None
-        raise
-
-
-def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Read a headered CSV of finite numbers; malformed rows name their line."""
-    try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
-    with handle:
-        rows = _csv_rows(path, handle)
-        try:
-            _, header = next(rows)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [cell.strip() for cell in header]
-        if header != list(columns):
-            raise ValueError(
-                f"{path}: line 1: expected header '{','.join(columns)}', "
-                f"got '{','.join(header)}'"
-            )
-        data: list[list[float]] = []
-        for lineno, row in rows:
-            if not row:
-                continue
-            if len(row) != len(columns):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(columns)} fields, got {len(row)}"
-                )
-            values = []
-            for cell in row:
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: non-numeric value {cell!r}"
-                    ) from None
-                if not math.isfinite(values[-1]):
-                    raise ValueError(f"{path}: line {lineno}: non-finite value {cell!r}")
-            data.append(values)
-    if not data:
-        raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(data, dtype=float)
-    return {name: arr[:, k] for k, name in enumerate(columns)}
-
-
 def _load_dataset(path: str) -> Dataset:
-    cols = _read_csv(path, ("x", "y"))
-    try:
-        return Dataset(cols["x"], cols["y"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return Dataset(**read_csv(path, ("x", "y")))
 
 
 def _check_output_dirs(*paths: str | None) -> None:
@@ -225,10 +153,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_band(args) -> int:
     _check_output_dirs(args.output)
-    try:
-        band, _ = load_model(args.model)
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.model}: {exc.strerror}") from exc
+    band, _ = load_model(args.model)
     lo = band.basis.knots[0] if args.grid_min is None else args.grid_min
     hi = band.basis.knots[-1] if args.grid_max is None else args.grid_max
     if lo < band.basis.knots[0] or hi > band.basis.knots[-1]:
@@ -243,7 +168,7 @@ def _cmd_band(args) -> int:
 
 def _cmd_rhythm(args) -> int:
     _check_output_dirs(args.output)
-    cols = _read_csv(args.input, ("x", "lower", "upper", "midpoint"))
+    cols = read_csv(args.input, ("x", "lower", "upper", "midpoint"))
     curve = np.column_stack([cols["x"], cols["midpoint"]])
     try:
         cycles = detect_rhythms(curve, window=args.window)

@@ -4,12 +4,15 @@ Stage 1 selects a bandwidth, extracts per-observation shortest-interval
 quantile levels, and computes density-based observation weights.  Stage 2
 assembles the convex program and runs ADMM.  Both stages are exposed
 separately so cross-validation and simulation can share stage-1 output
-across penalty values.
+across penalty values.  Its persistence section reads and writes every
+file: CSV inputs and tables, and the model JSON.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -29,6 +32,7 @@ __all__ = [
     "save_model",
     "load_model",
     "atomic_write_text",
+    "read_csv",
     "write_csv",
 ]
 
@@ -137,6 +141,73 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _csv_rows(path: str, handle):
+    """(line, row) of each row of a CSV text file, ``line`` the one it ends on;
+    a line that csv or UTF-8 cannot read is one error."""
+    reader = csv.reader(handle)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        # text is decoded in blocks ahead of the reader, so the line of the
+        # first undecodable byte is counted in the file's bytes
+        with open(path, "rb") as binary:
+            raw = binary.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise ValueError(
+                f"{path}: line {line}: byte {raw[exc.start]:#04x} is not UTF-8"
+            ) from None
+        raise
+
+
+def read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Read a headered UTF-8 CSV of finite numbers; errors name the file line."""
+    try:
+        handle = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    with handle:
+        rows = _csv_rows(path, handle)
+        try:
+            _, header = next(rows)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        header = [cell.strip() for cell in header]
+        if header != list(columns):
+            raise ValueError(
+                f"{path}: line 1: expected header '{','.join(columns)}', "
+                f"got '{','.join(header)}'"
+            )
+        data: list[list[float]] = []
+        for lineno, row in rows:
+            if not row:
+                continue
+            if len(row) != len(columns):
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {len(columns)} fields, got {len(row)}"
+                )
+            values = []
+            for cell in row:
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: non-numeric value {cell!r}"
+                    ) from None
+                if not math.isfinite(values[-1]):
+                    raise ValueError(f"{path}: line {lineno}: non-finite value {cell!r}")
+            data.append(values)
+    if not data:
+        raise ValueError(f"{path}: no data rows")
+    arr = np.asarray(data, dtype=float)
+    return {name: arr[:, k] for k, name in enumerate(columns)}
+
+
 def _cell(value) -> str:
     """One CSV field: strings as given, integers as digits, floats at nine
     significant digits with NaN as an empty field."""
@@ -177,7 +248,7 @@ def save_model(path: str, band: FittedBand, config: dict | None = None) -> None:
 def load_model(path: str):
     """Load a fitted band saved by :func:`save_model`; returns (band, config)."""
     try:
-        with open(path) as handle:  # OSError passes through to the caller
+        with open(path) as handle:
             payload = json.load(handle)
         basis = SplineBasis(np.asarray(payload["knots"], dtype=float))
         order = int(payload["degree"]), int(payload["smoothness"])
@@ -188,6 +259,8 @@ def load_model(path: str):
         primal = float(residuals.get("primal", np.nan))
         dual = float(residuals.get("dual", np.nan))
         violation = float(residuals.get("noncross_violation", np.nan))
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     except KeyError as exc:
         raise ValueError(f"model file {path} is missing field {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
