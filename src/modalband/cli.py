@@ -39,11 +39,19 @@ def _load_dataset(path: str) -> Dataset:
     return Dataset(**read_csv(path, ("x", "y")))
 
 
-def _check_output_dirs(*paths: str | None) -> None:
-    """Refuse an output whose directory is missing, before any input is read."""
-    for path in filter(None, paths):
+def _check_outputs(outputs, inputs=()) -> None:
+    """Refuse, before any input is read, an output whose directory is missing,
+    that is a directory, or that names one of the inputs or another output."""
+    taken = dict.fromkeys(map(os.path.realpath, inputs), "it is also an input")
+    for path in filter(None, outputs):
+        real = os.path.realpath(path)
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ValueError(f"cannot write {path}: no such directory")
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write {path}: is a directory")
+        if real in taken:
+            raise ValueError(f"cannot write {path}: {taken[real]}")
+        taken[real] = "it is named twice as an output"
 
 
 def _parse_lambdas(raw: str):
@@ -77,7 +85,7 @@ def _write_band_csv(path: str, band, lo: float, hi: float, points: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_fit(args) -> int:
-    _check_output_dirs(args.model, args.band)
+    _check_outputs((args.model, args.band), (args.input,))
     data = _load_dataset(args.input)
     band, step1 = fit_band(
         data,
@@ -105,7 +113,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    _check_output_dirs(args.output)
+    _check_outputs((args.output,), (args.input,))
     data = _load_dataset(args.input)
     result = select_lambda_cv(
         data,
@@ -141,10 +149,11 @@ def _cmd_simulate(args) -> int:
         raise ValueError(
             f"cannot create output directory {args.out_dir}: {exc.strerror}"
         ) from exc
-    results = run_replications(config)
-
     rep_path = os.path.join(args.out_dir, "replications.csv")
     summary_path = os.path.join(args.out_dir, "summary.csv")
+    _check_outputs((rep_path, summary_path))
+    results = run_replications(config)
+
     write_replication_csv(rep_path, results)
     write_summary_csv(summary_path, aggregate(results))
     print(f"wrote {rep_path} and {summary_path}")
@@ -152,7 +161,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_band(args) -> int:
-    _check_output_dirs(args.output)
+    _check_outputs((args.output,), (args.model,))
     band, _ = load_model(args.model)
     lo = band.basis.knots[0] if args.grid_min is None else args.grid_min
     hi = band.basis.knots[-1] if args.grid_max is None else args.grid_max
@@ -167,7 +176,7 @@ def _cmd_band(args) -> int:
 
 
 def _cmd_rhythm(args) -> int:
-    _check_output_dirs(args.output)
+    _check_outputs((args.output,), (args.input,))
     cols = read_csv(args.input, ("x", "lower", "upper", "midpoint"))
     curve = np.column_stack([cols["x"], cols["midpoint"]])
     try:
@@ -268,6 +277,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -127,18 +127,17 @@ def fit_band(
 def atomic_write_text(path: str, text: str) -> None:
     """Write a file fully or not at all: temp file in place, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    except OSError as exc:  # its text would name the temp file, not the target
-        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
-    try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # its text would name the temp file, not the target
+        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _csv_rows(path: str, handle):

@@ -211,6 +211,12 @@ def test_band_missing_model_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_load_model_names_a_file_it_cannot_read(tmp_path):
+    missing = tmp_path / "nope.json"
+    with pytest.raises(ValueError, match=f"^cannot read {re.escape(str(missing))}: "):
+        load_model(str(missing))
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--iters", "0", "iteration budget must be at least 1, got 0"),
     ("--penalty", "0", "penalty strength must be positive and finite, got 0.0"),
@@ -315,6 +321,95 @@ def test_atomic_write_names_the_target_it_cannot_write(tmp_path):
     with pytest.raises(OSError, match=f"^cannot write {target}: "):
         atomic_write_text(str(target), "text\n")
     assert not (tmp_path / "missing").exists()
+
+
+def test_atomic_write_onto_a_directory_names_the_target(tmp_path):
+    target = tmp_path / "adir"
+    target.mkdir()
+    with pytest.raises(OSError, match=f"^cannot write {re.escape(str(target))}: "):
+        atomic_write_text(str(target), "text\n")
+    assert not list(target.iterdir())
+    assert no_temp_leftovers(tmp_path)
+
+
+def refuse_stage_one(monkeypatch):
+    def stage_one(*args, **kwargs):
+        raise AssertionError("stage 1 ran")
+
+    monkeypatch.setattr(modalband.pipeline, "run_step1", stage_one)
+    monkeypatch.setattr(modalband.model_select, "run_step1", stage_one)
+
+
+def files_of(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+
+
+def command_inputs(xy_csv, tmp_path):
+    """Each kind of command input in ``tmp_path``: data, model and band CSV,
+    and a link to the data; returns their bytes by name."""
+    (tmp_path / "in.csv").write_bytes(xy_csv.read_bytes())
+    (tmp_path / "link.csv").symlink_to("in.csv")
+    (tmp_path / "m.json").write_text(json.dumps(PARENT_MODEL))
+    x = np.arange(0.0, 48.0)
+    write_band_csv(tmp_path / "b.csv", x, np.sin(2 * np.pi * x / 24))
+    return files_of(tmp_path)
+
+
+@pytest.mark.parametrize("argv, path, reason", [
+    (["fit", "--input", "{d}/in.csv", "--model", "{d}/in.csv"], "in.csv",
+     "it is also an input"),
+    (["fit", "--input", "{d}/in.csv", "--model", "{d}/link.csv"], "link.csv",
+     "it is also an input"),
+    (["fit", "--input", "{d}/in.csv", "--model", "{d}/o.json", "--band", "{d}/o.json"], "o.json",
+     "it is named twice as an output"),
+    (["cv", "--input", "{d}/in.csv", "--output", "{d}/in.csv", "--seed", "1"], "in.csv",
+     "it is also an input"),
+    (["band", "--model", "{d}/m.json", "--output", "{d}/m.json"], "m.json",
+     "it is also an input"),
+    (["rhythm", "--input", "{d}/b.csv", "--output", "{d}/b.csv"], "b.csv",
+     "it is also an input"),
+], ids=["fit-input", "fit-linked-input", "fit-model-band", "cv", "band", "rhythm"])
+def test_an_output_that_names_an_input_or_another_output_is_refused_before_reading(
+    xy_csv, tmp_path, capsys, recwarn, monkeypatch, argv, path, reason
+):
+    refuse_stage_one(monkeypatch)
+    before = command_inputs(xy_csv, tmp_path)
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path / path}: {reason}\n"
+    assert files_of(tmp_path) == before
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--input", "{d}/in.csv", "--model", "{d}/adir"],
+    ["fit", "--input", "{d}/in.csv", "--model", "{d}/o.json", "--band", "{d}/adir"],
+    ["cv", "--input", "{d}/in.csv", "--output", "{d}/adir", "--seed", "1"],
+    ["band", "--model", "{d}/m.json", "--output", "{d}/adir"],
+    ["rhythm", "--input", "{d}/b.csv", "--output", "{d}/adir"],
+], ids=["fit-model", "fit-band", "cv", "band", "rhythm"])
+def test_a_directory_as_output_is_refused_before_reading(
+    xy_csv, tmp_path, capsys, recwarn, monkeypatch, argv
+):
+    refuse_stage_one(monkeypatch)
+    before = command_inputs(xy_csv, tmp_path)
+    (tmp_path / "adir").mkdir()
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'adir'}: is a directory\n"
+    assert files_of(tmp_path) == before
+    assert not list((tmp_path / "adir").iterdir())
+    assert not recwarn.list
+
+
+def test_running_out_of_memory_is_one_error_line(xy_csv, tmp_path, capsys, monkeypatch):
+    message = "Unable to allocate 26.8 GiB for an array with shape (120000, 30003)"
+
+    def fit_band(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(modalband.cli, "fit_band", fit_band)
+    assert main(["fit", "--input", str(xy_csv), "--model", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("payload", [
@@ -609,6 +704,23 @@ def test_simulate_refuses_a_file_as_output_directory_before_any_replication(
     assert code == 1
     assert capsys.readouterr().err == (
         f"error: cannot create output directory {afile}: File exists\n")
+
+
+def test_simulate_refuses_a_directory_as_an_output_before_any_replication(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(config):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr("modalband.cli.run_replications", refuse)
+    target = tmp_path / "replications.csv"
+    target.mkdir()
+    code = main(["simulate", "--dist", "1", "--n", "100", "--reps", "2", "--seed", "0",
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cannot write {target}: is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["replications.csv"]
+    assert not list(target.iterdir())
 
 
 def test_simulate_rejects_zero_iterations_before_fitting(tmp_path, capsys, recwarn):
