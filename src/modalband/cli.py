@@ -35,10 +35,6 @@ __all__ = ["main"]
 BAND_POINTS = 201  # grid of fit's band CSV, and band's default grid
 
 
-def _load_dataset(path: str) -> Dataset:
-    return Dataset(**read_csv(path, ("x", "y")))
-
-
 def _check_outputs(outputs, inputs=()) -> None:
     """Refuse, before any input is read, an output whose directory is missing,
     that is a directory, or that names one of the inputs or another output."""
@@ -86,7 +82,7 @@ def _write_band_csv(path: str, band, lo: float, hi: float, points: int) -> None:
 
 def _cmd_fit(args) -> int:
     _check_outputs((args.model, args.band), (args.input,))
-    data = _load_dataset(args.input)
+    data = Dataset(**read_csv(args.input, ("x", "y")))
     band, step1 = fit_band(
         data,
         alpha=args.alpha,
@@ -114,7 +110,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_cv(args) -> int:
     _check_outputs((args.output,), (args.input,))
-    data = _load_dataset(args.input)
+    data = Dataset(**read_csv(args.input, ("x", "y")))
     result = select_lambda_cv(
         data,
         _parse_lambdas(args.lambdas),
