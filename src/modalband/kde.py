@@ -260,14 +260,16 @@ def _psi_sum(r: int, g: float, centers: np.ndarray, counts: np.ndarray, n: int) 
     """Pilot estimate of psi_r, the integral of f^(r) f, at bandwidth g.
 
     psi_4 is the integrated squared second density derivative and psi_6
-    minus the squared third's.  K^(r)(u) = He_r(u) K(u) for even r.
+    minus the squared third's.  K^(r)(u) = He_r(u) K(u) for even r.  Where
+    g^(r+1) overflows or underflows the estimate is not finite, not an error.
     """
     hermite = {4: lambda u: u**4 - 6.0 * u**2 + 3.0,
                6: lambda u: u**6 - 15.0 * u**4 + 45.0 * u**2 - 15.0}[r]
     u = centers / g
     term = hermite(u) * np.exp(-0.5 * u * u) / _SQRT_2PI
     s = 2.0 * float(counts @ term) + n * hermite(0.0) / _SQRT_2PI
-    return s / (n * (n - 1) * g ** (r + 1))
+    with np.errstate(all="ignore"):
+        return float(s / (n * (n - 1) * np.float64(g) ** (r + 1)))
 
 
 def _find_root(f, lo: float, hi: float, xtol: float = 0.0, maxiter: int = 200) -> float:

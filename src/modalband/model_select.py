@@ -136,8 +136,11 @@ def select_lambda_cv(
 
     Folds are a seeded uniform shuffle split into ``folds`` near-equal
     parts.  Each fold fit reruns both stages on the training part only.
-    A penalty with any failed fold is excluded with a warning.  Ties take
-    the first (smallest-index) grid entry.
+    A fold whose stage 1 is refused raises its error, as every penalty
+    would then lack that fold.  A penalty with a fold fit that the library
+    refuses (ValueError or RuntimeError) is excluded with a warning; any
+    other error, such as MemoryError, propagates.  Ties take the first
+    (smallest-index) grid entry.
 
     Parameters
     ----------
@@ -179,16 +182,12 @@ def select_lambda_cv(
         mask[held] = False
         train = Dataset(data.x[mask], data.y[mask])
         test = Dataset(data.x[held], data.y[held])
-        try:
-            step1 = run_step1(train, alpha, rng=[seed, v])
-        except Exception as exc:  # noqa: BLE001 - a fold failure must not abort CV
-            warnings.warn(f"fold {v} stage-1 failed: {exc}", RuntimeWarning, stacklevel=2)
-            continue
+        step1 = run_step1(train, alpha, rng=[seed, v])
         for g, lam in enumerate(grid):
             try:
                 band = run_step2(train, step1, basis, lam, iters=iters)
                 fold_scores[g, v] = band_metrics(band, test, alpha).mcwc
-            except Exception as exc:  # noqa: BLE001
+            except (ValueError, RuntimeError) as exc:
                 warnings.warn(
                     f"fold {v} fit at penalty {lam} failed: {exc}",
                     RuntimeWarning,

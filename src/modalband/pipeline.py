@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import stat
 import tempfile
 from dataclasses import dataclass
 
@@ -91,10 +92,13 @@ def run_step2(
 
 def _basis_for(data: Dataset, basis: SplineBasis | None) -> SplineBasis:
     """``basis``, refused unless it covers x, or by default 20 uniform C^2
-    cubic segments over x's range."""
+    cubic segments over x's range; with its stage-2 penalty and non-crossing
+    rows built, so a grid too large for memory fails before stage 1."""
     if basis is None:
-        return SplineBasis.uniform(float(data.x.min()), float(data.x.max()))
-    basis.segment_index(data.x)  # raises for x outside the knots
+        basis = SplineBasis.uniform(float(data.x.min()), float(data.x.max()))
+    else:
+        basis.segment_index(data.x)  # raises for x outside the knots
+    basis.penalty, basis.noncross  # built once, shared by every fit on the grid
     return basis
 
 
@@ -110,7 +114,8 @@ def fit_band(
     """Full two-stage fit; returns (band, step1).
 
     Without a ``basis`` the grid is 20 uniform C^2 cubic segments over x's
-    range.  The solver settings and the basis are checked before stage 1.
+    range.  The solver settings and the basis are checked, and the basis's
+    stage-2 matrices built, before stage 1.
     """
     _check_iters(iters)
     _check_penalty(lam)
@@ -124,14 +129,27 @@ def fit_band(
 # Persistence
 # ---------------------------------------------------------------------------
 
+def _output_mode(path: str) -> int:
+    """Permission bits of the file at ``path``, or for a new file what the umask allows."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # the only way to read it is to set it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def atomic_write_text(path: str, text: str) -> None:
-    """Write a file fully or not at all: temp file in place, then rename."""
+    """Write a file fully or not at all: temp file in place, then rename.
+    The file keeps the mode of the one it replaces; a new one gets what the
+    umask allows, as with ``open``."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, _output_mode(path))
         os.replace(tmp, path)
     except OSError as exc:  # its text would name the temp file, not the target
         raise OSError(f"cannot write {path}: {exc.strerror}") from exc

@@ -254,17 +254,18 @@ def run_replications(config: SimConfig) -> list[RepResult]:
     """Run all replications in order.
 
     Each replication draws from its own derived seed streams, so its
-    results do not depend on the others.  A failing replication is recorded
-    and skipped; more than 10% failures aborts the experiment.
+    results do not depend on the others.  A replication that the library
+    refuses (ValueError or RuntimeError) is recorded and skipped; more than
+    10% failures aborts the experiment.  Any other error propagates.
     """
     truth = true_band(config.dist, config.alpha, default_truth_grid())
-    basis = SplineBasis.uniform(*_DOMAIN)  # one B-spline map for every replication
+    basis = SplineBasis.uniform(*_DOMAIN)  # one grid and its matrices for every replication
     results: list[RepResult] = []
     failures: list[tuple[int, str]] = []
     for rep in range(config.replications):
         try:
             results.extend(_run_one_rep(config, rep, truth, basis))
-        except Exception as exc:  # noqa: BLE001 - collected, bounded below
+        except (ValueError, RuntimeError) as exc:  # collected, bounded below
             failures.append((rep, str(exc)))
 
     for rep, message in failures:

@@ -11,6 +11,8 @@ condition (G c >= 0).  Continuity holds by construction: each curve is
 P theta, with theta its cubic B-spline coefficients and P the basis's
 ``null_space``, so the program has 2r unknowns instead of 2m (46 instead
 of 160 for 20 segments), and row i of A P holds the B-splines at x_i.
+The basis builds P, P'Q P and G P once per knot grid; :func:`assemble`
+builds only the data rows, so every fit on a grid shares the rest.
 Splitting with z1 = A P theta and z2 = G P theta gives ADMM updates, at
 step size 1, in which z1 is a componentwise quantile-loss proximal step
 and z2 a projection onto the nonnegative orthant.  The theta-update is an
@@ -29,13 +31,7 @@ import numpy as np
 
 from .intervals import QuantileLevelSet
 from .kde import Dataset
-from .spline import (
-    SplineBasis,
-    _bspline_rows,
-    eval_spline,
-    noncross_matrix,
-    penalty_matrix,
-)
+from .spline import SplineBasis, _bspline_rows, eval_spline
 
 __all__ = [
     "MirProblem",
@@ -52,16 +48,16 @@ __all__ = [
 class MirProblem:
     """Assembled program for one band fit, in B-spline coordinates theta.
 
-    With P = ``basis.null_space`` (m x r), both curves share the design
-    ``AN`` = A P (n x r), the B-splines at x, and the penalty ``QN`` = P'Q P;
-    ``GN`` = G P (m x r) holds the non-crossing rows on theta_up - theta_low.
-    ``p``, ``y`` and ``w`` stack the upper-curve rows first, then the lower.
-    ``empty_segments`` counts the knot segments that hold no observation.
+    Holds what the data and the penalty decide.  With P = ``basis.null_space``
+    (m x r), both curves share the design ``AN`` = A P (n x r), the B-splines
+    at x; the penalty P'Q P and the non-crossing rows G P on
+    theta_up - theta_low depend on the knot grid alone and are read from
+    ``basis.penalty`` and ``basis.noncross``.  ``p``, ``y`` and ``w`` stack
+    the upper-curve rows first, then the lower.  ``empty_segments`` counts
+    the knot segments that hold no observation.
     """
 
     AN: np.ndarray
-    QN: np.ndarray
-    GN: np.ndarray
     p: np.ndarray
     y: np.ndarray
     w: np.ndarray
@@ -126,9 +122,9 @@ def assemble(
 ) -> MirProblem:
     """Build the program coupling the two bound curves.
 
-    Stores the single-curve design, penalty and non-crossing blocks in the
-    basis's B-spline coordinates.  Level order matches the stacking:
-    upper-curve levels first, then lower-curve levels.
+    Stores the single-curve design rows in the basis's B-spline coordinates;
+    the penalty and non-crossing blocks stay on the basis.  Level order
+    matches the stacking: upper-curve levels first, then lower-curve levels.
     """
     weights = np.asarray(weights, dtype=float)
     n = len(data)
@@ -141,12 +137,8 @@ def assemble(
     _check_penalty(lam)
 
     seg = basis.segment_index(data.x)  # raises when x leaves the knot range
-    P = basis.null_space
-
     return MirProblem(
         AN=_bspline_rows(basis, seg, data.x - basis.knots[seg]),
-        QN=P.T @ penalty_matrix(basis) @ P,
-        GN=noncross_matrix(basis) @ P,
         p=np.concatenate([levels.p_up, levels.p_low]),
         y=np.concatenate([data.y, data.y]),
         w=np.concatenate([weights, weights]),
@@ -186,7 +178,7 @@ def objective(problem: MirProblem, c) -> float:
     if np.linalg.norm(C - T @ P.T) > 1e-9 * (1.0 + np.linalg.norm(C)):
         raise ValueError("coefficients are not continuous to the basis's smoothness order")
     r = problem.y - (T @ problem.AN.T).ravel()
-    penalty = np.sum(T @ problem.QN * T)
+    penalty = np.sum(T @ problem.basis.penalty * T)
     return float(problem.w @ quantile_loss(r, problem.p) + problem.lam * penalty)
 
 
@@ -217,12 +209,12 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
         grid check of the non-crossing constraint.
     """
     _check_iters(iters)
-    AN, GN = problem.AN, problem.GN
+    AN, GN = problem.AN, problem.basis.noncross
     n, r = AN.shape
     m = GN.shape[0]
     G = np.hstack([GN, -GN])  # non-crossing rows on theta_up - theta_low
 
-    M = np.kron(np.eye(2), 2.0 * problem.lam * problem.QN + AN.T @ AN) + G.T @ G
+    M = np.kron(np.eye(2), 2.0 * problem.lam * problem.basis.penalty + AN.T @ AN) + G.T @ G
     empty = (f"{problem.empty_segments} of {problem.basis.segments} knot segments "
              "hold no observation")
     try:

@@ -11,7 +11,9 @@ the b + 3 cubic B-spline coefficients on the clamped knot vector, which
 ``SplineBasis.null_space`` maps to segment-local powers.  This module also
 builds the exact curvature penalty integral, a per-segment sufficient
 condition for nonnegativity of a cubic on its segment, and the power-form
-design and continuity rows that the map is checked against.
+design and continuity rows that the map is checked against.  The basis
+keeps the penalty and non-crossing rows in B-spline coordinates, P'QP and
+GP, which depend on the knot grid alone, so every fit on a grid shares them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity, like null_space's cache
 class SplineBasis:
-    """Knot grid of C^2 cubic splines; owns its B-spline map, built once."""
+    """Knot grid of C^2 cubic splines; owns its B-spline map and the stage-2
+    penalty and non-crossing rows in B-spline coordinates, each built once."""
 
     knots: np.ndarray
     degree = 3  # class constants, not fields: every fit is a C^2 cubic
@@ -96,6 +99,23 @@ class SplineBasis:
         P = P.reshape(self.size, b + 3)
         P.setflags(write=False)
         return P
+
+    @cached_property
+    def penalty(self) -> np.ndarray:
+        """P'QP (segments + 3 square): ``penalty_matrix`` in B-spline coordinates.
+        Read-only, built once like ``null_space``."""
+        P = self.null_space
+        QN = P.T @ penalty_matrix(self) @ P
+        QN.setflags(write=False)
+        return QN
+
+    @cached_property
+    def noncross(self) -> np.ndarray:
+        """GP (size x segments + 3): ``noncross_matrix`` in B-spline coordinates.
+        Read-only, built once like ``null_space``."""
+        GN = noncross_matrix(self) @ self.null_space
+        GN.setflags(write=False)
+        return GN
 
 
 def _bspline_rows(basis: SplineBasis, seg: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -72,19 +72,22 @@ def size_sweep():
 
 
 @pytest.fixture
-def null_space_builds(monkeypatch):
-    """Every basis whose B-spline map ``SplineBasis.null_space`` was built,
-    one entry per build."""
+def grid_builds(monkeypatch):
+    """Every basis whose grid-only matrices were built, one entry per build,
+    under the name of each ``SplineBasis`` cached property: the B-spline map
+    ``null_space``, the ``penalty`` P'QP and the ``noncross`` rows GP."""
     from modalband.spline import SplineBasis
 
-    calls = []
-    build = SplineBasis.__dict__["null_space"].func
+    calls = {}
+    for name in ("null_space", "penalty", "noncross"):
+        calls[name] = []
+        build = SplineBasis.__dict__[name].func
 
-    def counted(basis):
-        calls.append(basis)
-        return build(basis)
+        def counted(basis, build=build, seen=calls[name]):
+            seen.append(basis)
+            return build(basis)
 
-    prop = functools.cached_property(counted)
-    prop.__set_name__(SplineBasis, "null_space")
-    monkeypatch.setattr(SplineBasis, "null_space", prop)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(SplineBasis, name)
+        monkeypatch.setattr(SplineBasis, name, prop)
     return calls

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -12,7 +13,8 @@ import pytest
 
 import modalband
 from modalband.cli import build_parser, main
-from modalband.pipeline import atomic_write_text, fit_band, load_model
+from modalband.kde import Dataset
+from modalband.pipeline import atomic_write_text, fit_band, load_model, read_csv
 from modalband.simulate import gen_dist1
 from modalband.spline import SplineBasis
 
@@ -217,6 +219,20 @@ def test_load_model_names_a_file_it_cannot_read(tmp_path):
         load_model(str(missing))
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"knots": [0.0, 1.0], "degree": 3, "smoothness": 2, "lower": [0.0] * 4},
+     "is missing field 'upper'"),
+    ({"knots": [0.0, 1.0], "degree": 3, "smoothness": 2,
+      "upper": [0.0] * 4, "lower": [0.0] * 3},
+     "has inconsistent coefficient counts"),
+], ids=["no-upper", "counts"])
+def test_load_model_refuses_a_model_it_cannot_use(tmp_path, payload, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^model file {re.escape(str(path))} {message}$"):
+        load_model(str(path))
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--iters", "0", "iteration budget must be at least 1, got 0"),
     ("--penalty", "0", "penalty strength must be positive and finite, got 0.0"),
@@ -323,6 +339,20 @@ def test_atomic_write_names_the_target_it_cannot_write(tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
+def test_outputs_get_the_mode_the_umask_allows(xy_csv, tmp_path):
+    old = os.umask(0o022)
+    try:
+        model, band = run_fit(xy_csv, tmp_path)
+        assert stat.S_IMODE(model.stat().st_mode) == 0o644
+        assert stat.S_IMODE(band.stat().st_mode) == 0o644
+        model.chmod(0o640)
+        run_fit(xy_csv, tmp_path)  # an overwritten file keeps its mode
+        assert stat.S_IMODE(model.stat().st_mode) == 0o640
+        assert stat.S_IMODE(band.stat().st_mode) == 0o644
+    finally:
+        os.umask(old)
+
+
 def test_atomic_write_onto_a_directory_names_the_target(tmp_path):
     target = tmp_path / "adir"
     target.mkdir()
@@ -400,6 +430,78 @@ def test_a_directory_as_output_is_refused_before_reading(
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("stage", ["run_step1", "run_step2"])
+def test_running_out_of_memory_in_cv_is_one_error_line(
+    xy_csv, tmp_path, capsys, recwarn, monkeypatch, stage
+):
+    # a fold fit is excused only for the library's own refusals
+    def fit(*args, **kwargs):
+        raise MemoryError("synthetic")
+
+    monkeypatch.setattr(modalband.model_select, stage, fit)
+    out = tmp_path / "cv.csv"
+    assert main(["cv", "--input", str(xy_csv), "--output", str(out), "--seed", "1"]) == 1
+    assert capsys.readouterr().err == "error: out of memory: synthetic\n"
+    assert not recwarn.list
+    assert not list(tmp_path.iterdir())
+
+
+_STAGE_ONE_NEVER_RUNS = """
+import resource, sys
+soft = 4_000_000 * 1024  # 4 GB of address space, as ulimit -v 4000000
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (soft if hard == resource.RLIM_INFINITY
+                                        else min(soft, hard), hard))
+import modalband.model_select, modalband.pipeline
+from modalband.cli import main
+
+def stage_one(*args, **kwargs):
+    sys.exit(3)
+
+modalband.pipeline.run_step1 = modalband.model_select.run_step1 = stage_one
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["fit", "cv"])
+def test_a_grid_too_large_for_memory_is_refused_before_stage_one(xy_csv, tmp_path, command):
+    # 30 000 segments need a 26.8 GiB B-spline map: one error line, no file,
+    # and no stage 1 (which exits 3), under a 4 GB address-space limit
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(modalband.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = str(tmp_path / "out")
+    argv = {"fit": ["fit", "--input", str(xy_csv), "--model", out],
+            "cv": ["cv", "--input", str(xy_csv), "--output", out, "--seed", "1"]}[command]
+    run = subprocess.run([sys.executable, "-c", _STAGE_ONE_NEVER_RUNS, *argv,
+                          "--segments", "30000"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("error: out of memory: ")
+    assert len(run.stderr.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("scale", [1e50, 1e-50])
+def test_fit_on_a_covariate_of_extreme_scale_ends_in_a_model_or_one_error_line(
+    tmp_path, capsys, recwarn, scale
+):
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 10.0, 300)
+    data = tmp_path / "xy.csv"
+    write_xy_csv(data, Dataset(x * scale, np.sin(x) + rng.normal(0.0, 0.3, x.size)))
+    model = tmp_path / "m.json"
+    code = main(["fit", "--input", str(data), "--model", str(model)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and model.is_file()
+    else:
+        assert code == 1 and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not model.exists()
+    assert not recwarn.list
+
+
 def test_running_out_of_memory_is_one_error_line(xy_csv, tmp_path, capsys, monkeypatch):
     message = "Unable to allocate 26.8 GiB for an array with shape (120000, 30003)"
 
@@ -464,6 +566,13 @@ def test_malformed_csv_reports_line(tmp_path, capsys, text, fragment):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ")
     assert fragment in err
+
+
+def test_a_blank_line_between_csv_rows_is_skipped(tmp_path):
+    path = tmp_path / "xy.csv"
+    path.write_text("x,y\n1,2\n\n3,4\n")
+    cols = read_csv(str(path), ("x", "y"))
+    assert cols["x"].tolist() == [1.0, 3.0] and cols["y"].tolist() == [2.0, 4.0]
 
 
 def test_dataset_errors_name_the_file(tmp_path, capsys):
@@ -816,6 +925,15 @@ def test_rhythm_detects_daily_cycles_in_a_band_csv(tmp_path, capsys):
         assert row[5] == "significant"
         assert row[6] == "0"
     assert no_temp_leftovers(tmp_path)
+
+
+def test_rhythm_names_the_file_whose_x_decreases(tmp_path, capsys):
+    bad = tmp_path / "band.csv"
+    write_band_csv(bad, [2.0, 1.0, 0.0], [0.0, 1.0, 0.0])
+    out = tmp_path / "o.csv"
+    assert main(["rhythm", "--input", str(bad), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: curve x values must be strictly increasing\n"
+    assert not out.exists()
 
 
 def test_rhythm_rejects_wrong_header(tmp_path, capsys):

@@ -716,6 +716,12 @@ def test_true_lognormal_left_shifted():
     assert mi.up < np.exp(ndtri(0.75))
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0])
+def test_true_lognormal_refuses_a_nonpositive_sigma(sigma):
+    with pytest.raises(ValueError, match=f"^sigma must be positive, got {sigma}$"):
+        true_mi_lognormal(0.0, sigma, 0.5)
+
+
 def test_true_lognormal_small_sigma_limit():
     mu = 0.7
     mi = true_mi_lognormal(mu, 1e-4, 0.5)

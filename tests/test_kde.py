@@ -347,6 +347,29 @@ def test_normal_reference_rejects_degenerate():
         normal_reference_bandwidth([1.0, 1.0, 1.0])
 
 
+def test_normal_reference_refuses_one_point():
+    with pytest.raises(ValueError, match="^need at least 2 points for a bandwidth$"):
+        normal_reference_bandwidth([1.0])
+
+
+def test_robust_scale_falls_back_to_the_sd_when_the_iqr_is_zero():
+    # seven of ten points tie, so both quartiles are 0
+    x = np.array([0.0] * 7 + [-3.0, 5.0, 8.0])
+    assert np.percentile(x, 25) == np.percentile(x, 75) == 0.0
+    assert kde._robust_scale(x) == x.std(ddof=1)
+
+
+@pytest.mark.parametrize("scale", [1e50, 1e-50])
+def test_bandwidth_of_a_covariate_of_extreme_scale_is_finite(scale, recwarn):
+    # the pilot functionals' g^(r+1) overflows at 1e50 and underflows at
+    # 1e-50: the plug-in root is then undefined, and the rule falls back
+    x = np.random.default_rng(0).uniform(0.0, 10.0, 300) * scale
+    h = select_bandwidth(x)
+    assert np.isfinite(h) and h > 0.0
+    assert h == normal_reference_bandwidth(x)
+    assert not recwarn.list
+
+
 # ---------------------------------------------------------------------------
 # conditional_cdf
 # ---------------------------------------------------------------------------

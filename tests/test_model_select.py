@@ -190,12 +190,22 @@ def test_cv_deterministic_for_fixed_seed():
     assert a.selected == b.selected
 
 
-def test_cv_builds_the_continuity_null_space_once(null_space_builds):
-    # 2 folds x 2 penalties fit four bands on one basis
+def test_cv_builds_the_continuity_null_space_once(grid_builds, monkeypatch):
+    # 5 folds x 5 penalties fit 25 bands on one basis, whose grid-only
+    # matrices are all built before the first fold's stage 1
     data = gen_dist1(120, philox(57))
-    result = select_lambda_cv(data, [1e-2, 1e-1], folds=2, seed=4, iters=50)
+    real = model_select.run_step1
+
+    def stage_one(*args, **kwargs):
+        assert all(len(builds) == 1 for builds in grid_builds.values())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model_select, "run_step1", stage_one)
+    result = select_lambda_cv(data, [1e-4, 1e-3, 1e-2, 1e-1, 1.0], folds=5, seed=4, iters=50)
+    assert result.fold_scores.shape == (5, 5)
     assert np.all(np.isfinite(result.fold_scores))
-    assert len(null_space_builds) == 1
+    (basis,) = grid_builds["null_space"]
+    assert grid_builds == {"null_space": [basis], "penalty": [basis], "noncross": [basis]}
 
 
 def test_cv_excludes_penalty_with_failed_fold(monkeypatch):
@@ -213,6 +223,19 @@ def test_cv_excludes_penalty_with_failed_fold(monkeypatch):
     assert result.selected == 1e-2
     assert np.isnan(result.mean_scores[1])
     assert np.isfinite(result.mean_scores[0])
+
+
+def test_cv_raises_a_refused_fold_stage_one(monkeypatch, recwarn):
+    # every penalty would lack that fold, so the refusal itself is the error
+    data = gen_dist1(120, philox(59))
+
+    def refused(*args, **kwargs):
+        raise ValueError("synthetic refusal")
+
+    monkeypatch.setattr(model_select, "run_step1", refused)
+    with pytest.raises(ValueError, match="^synthetic refusal$"):
+        select_lambda_cv(data, [1e-2, 1e-1], folds=2, seed=0, basis=ten_segments(data))
+    assert not recwarn.list
 
 
 def test_cv_raises_when_everything_fails(monkeypatch):

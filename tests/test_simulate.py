@@ -173,10 +173,11 @@ def test_config_validation():
 # replication harness
 # ---------------------------------------------------------------------------
 
-def test_replications_build_the_continuity_null_space_once(null_space_builds):
-    results = run_replications(tiny_config(replications=2, iterations=50))
-    assert len(results) == 4  # two replications, band and comparator arms
-    assert len(null_space_builds) == 1
+def test_replications_build_the_continuity_null_space_once(grid_builds):
+    results = run_replications(tiny_config(replications=3, iterations=50))
+    assert len(results) == 6  # three replications, band and comparator arms
+    (basis,) = grid_builds["null_space"]
+    assert grid_builds == {"null_space": [basis], "penalty": [basis], "noncross": [basis]}
 
 
 def test_replications_deterministic_up_to_timing():
@@ -210,6 +211,17 @@ def test_replication_failure_is_skipped_with_warning(monkeypatch):
     for method in (METHOD_BAND, METHOD_RAW):
         reps = sorted(r.rep for r in results if r.method == method)
         assert reps == [r for r in range(12) if r != 3]
+
+
+def test_running_out_of_memory_ends_the_replications(monkeypatch, recwarn):
+    # only the library's refusals are recorded as failed replications
+    def stage_one(*args, **kwargs):
+        raise MemoryError("synthetic")
+
+    monkeypatch.setattr(simulate, "run_step1", stage_one)
+    with pytest.raises(MemoryError, match="^synthetic$"):
+        run_replications(tiny_config(replications=3))
+    assert not recwarn.list
 
 
 def test_too_many_failures_abort(monkeypatch):

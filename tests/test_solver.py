@@ -1,5 +1,6 @@
 """Program assembly, proximal steps, and ADMM convergence."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -43,10 +44,12 @@ def small_problem(n=3, lam=1e-2):
 def test_assemble_block_shapes():
     problem, data, levels, basis = small_problem()
     assert problem.AN.shape == (3, 5)
-    assert problem.QN.shape == (5, 5)
-    assert problem.GN.shape == (8, 5)
+    assert basis.penalty.shape == (5, 5)
+    assert basis.noncross.shape == (8, 5)
     assert basis.null_space.shape == (8, 5)
-    assert not hasattr(problem, "A") and not hasattr(problem, "N")
+    # the grid-only blocks live on the basis, not on each program
+    for name in ("A", "N", "QN", "GN"):
+        assert not hasattr(problem, name)
     assert np.array_equal(problem.AN, bspline_matrix(data.x, basis))
     assert np.allclose(problem.AN, design_matrix(data.x, basis) @ basis.null_space,
                        rtol=0.0, atol=1e-14)
@@ -67,8 +70,9 @@ def test_assemble_blocks_match_single_curve_matrices():
         dim = 4 * segments - 3 * (segments - 1)
         assert P.shape == (basis.size, dim) == (basis.size, segments + 3)
         assert np.allclose(problem.AN, design_matrix(data.x, basis) @ P, rtol=0.0, atol=1e-14)
-        assert np.array_equal(problem.QN, P.T @ penalty_matrix(basis) @ P)
-        assert np.array_equal(problem.GN, noncross_matrix(basis) @ P)
+        assert problem.basis is basis
+        assert np.array_equal(basis.penalty, P.T @ penalty_matrix(basis) @ P)
+        assert np.array_equal(basis.noncross, noncross_matrix(basis) @ P)
         assert np.max(np.abs(continuity_matrix(basis) @ P), initial=0.0) <= 1e-12
 
 
@@ -444,6 +448,14 @@ def test_admm_rejects_bad_budget():
     problem, _, _, _ = small_problem()
     with pytest.raises(ValueError, match="iteration budget"):
         admm_fit(problem, iters=0)
+
+
+def test_admm_refuses_non_finite_iterates():
+    problem, _, _, _ = small_problem()
+    y = problem.y.copy()
+    y[0] = np.nan
+    with pytest.raises(RuntimeError, match="^non-finite iterates after 5 iterations$"):
+        admm_fit(dataclasses.replace(problem, y=y), iters=5)
 
 
 def kkt_admm_reference(problem, x, iters):

@@ -202,15 +202,24 @@ def test_continuity_null_space_gives_smooth_splines():
                 assert abs(a - b) < 1e-9 * max(1.0, abs(a))
 
 
-def test_null_space_is_built_once_and_read_only(null_space_builds):
+def test_null_space_is_built_once_and_read_only(grid_builds):
     basis = SplineBasis.uniform(0.0, 3.0, segments=5)
     P = basis.null_space
     assert basis.null_space is P
-    assert null_space_builds == [basis]
+    assert grid_builds["null_space"] == [basis]
     assert P.shape == (20, 5 + 3)
-    assert not P.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        P[0, 0] = 1.0
+    # the penalty and non-crossing rows in B-spline coordinates, by the same
+    # expressions, so they keep every bit; each reuses the one map
+    QN, GN = basis.penalty, basis.noncross
+    assert basis.penalty is QN and basis.noncross is GN
+    assert grid_builds == {"null_space": [basis], "penalty": [basis], "noncross": [basis]}
+    assert np.array_equal(QN, P.T @ penalty_matrix(basis) @ P)
+    assert np.array_equal(GN, noncross_matrix(basis) @ P)
+    assert QN.shape == (5 + 3, 5 + 3) and GN.shape == (20, 5 + 3)
+    for matrix in (P, QN, GN):
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
 
 
 def test_continuity_rows_scale_with_knot_spacing():
