@@ -132,9 +132,18 @@ def gaussian_kernel(u):
 # ---------------------------------------------------------------------------
 
 def _robust_scale(x: np.ndarray) -> float:
-    """min(sample sd, IQR/1.349); falls back to the sd when the IQR is zero."""
+    """min(sample sd, IQR/1.349); falls back to the sd when the IQR is zero.
+
+    The quartiles are np.percentile's linear ones, to the bit, read off a
+    partition: np.percentile's first call imports numpy.ma, 10-17 ms.
+    """
     sd = float(x.std(ddof=1))
-    q75, q25 = np.percentile(x, [75.0, 25.0])
+    at = (x.size - 1) * np.array([0.75, 0.25])
+    below = np.floor(at).astype(np.intp)
+    above = np.minimum(below + 1, x.size - 1)
+    ordered = np.partition(x, [*below, *above])
+    a, b, t = ordered[below], ordered[above], at - below
+    q75, q25 = np.where(t >= 0.5, b - (b - a) * (1.0 - t), a + (b - a) * t)
     iqr = float(q75 - q25)
     if iqr > 0.0:
         return min(sd, iqr / 1.349)

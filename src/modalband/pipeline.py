@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import re
 import stat
 import tempfile
 from dataclasses import dataclass
@@ -158,55 +159,50 @@ def atomic_write_text(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _csv_rows(path: str, handle):
-    """(line, row) of each row of a CSV text file, ``line`` the one it ends on;
-    a line that csv or UTF-8 cannot read is one error."""
-    reader = csv.reader(handle)
+def _read_text(path: str) -> str:
+    """The file's text, decoded from UTF-8 once, less a leading byte-order
+    mark; an unreadable file, or a byte that is not UTF-8, is one error."""
     try:
-        for row in reader:
-            yield reader.line_num, row
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        # text is decoded in blocks ahead of the reader, so the line of the
-        # first undecodable byte is counted in the file's bytes
-        with open(path, "rb") as binary:
-            raw = binary.read()
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = raw.count(b"\n", 0, exc.start) + 1
-            raise ValueError(
-                f"{path}: line {line}: byte {raw[exc.start]:#04x} is not UTF-8"
-            ) from None
-        raise
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{path}: line {line}: byte {raw[exc.start]:#04x} is not UTF-8"
+        ) from None
+    return text.removeprefix("\ufeff")
+
+
+# one line and its end, which is \r\n, \r or \n as in ``open(newline="")``;
+# matched in place, where io.StringIO would copy the text at 4 bytes a character
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 def read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
     """Read a headered UTF-8 CSV of finite numbers; errors name the file line."""
+    rows = csv.reader(map(re.Match.group, _LINE.finditer(_read_text(path))))
+    data: list[list[float]] = []
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
-    with handle:
-        rows = _csv_rows(path, handle)
-        try:
-            _, header = next(rows)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         header = [cell.strip() for cell in header]
         if header != list(columns):
             raise ValueError(
                 f"{path}: line 1: expected header '{','.join(columns)}', "
                 f"got '{','.join(header)}'"
             )
-        data: list[list[float]] = []
-        for lineno, row in rows:
+        for row in rows:
             if not row:
                 continue
             if len(row) != len(columns):
                 raise ValueError(
-                    f"{path}: line {lineno}: expected {len(columns)} fields, got {len(row)}"
+                    f"{path}: line {rows.line_num}: expected {len(columns)} fields, "
+                    f"got {len(row)}"
                 )
             values = []
             for cell in row:
@@ -214,11 +210,13 @@ def read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
                     values.append(float(cell))
                 except ValueError:
                     raise ValueError(
-                        f"{path}: line {lineno}: non-numeric value {cell!r}"
+                        f"{path}: line {rows.line_num}: non-numeric value {cell!r}"
                     ) from None
                 if not math.isfinite(values[-1]):
-                    raise ValueError(f"{path}: line {lineno}: non-finite value {cell!r}")
+                    raise ValueError(f"{path}: line {rows.line_num}: non-finite value {cell!r}")
             data.append(values)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {rows.line_num}: {exc}") from None
     if not data:
         raise ValueError(f"{path}: no data rows")
     arr = np.asarray(data, dtype=float)
@@ -264,9 +262,9 @@ def save_model(path: str, band: FittedBand, config: dict | None = None) -> None:
 
 def load_model(path: str):
     """Load a fitted band saved by :func:`save_model`; returns (band, config)."""
+    text = _read_text(path)
     try:
-        with open(path) as handle:
-            payload = json.load(handle)
+        payload = json.loads(text)
         basis = SplineBasis(np.asarray(payload["knots"], dtype=float))
         order = int(payload["degree"]), int(payload["smoothness"])
         upper = np.asarray(payload["upper"], dtype=float)
@@ -276,8 +274,6 @@ def load_model(path: str):
         primal = float(residuals.get("primal", np.nan))
         dual = float(residuals.get("dual", np.nan))
         violation = float(residuals.get("noncross_violation", np.nan))
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     except KeyError as exc:
         raise ValueError(f"model file {path} is missing field {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:

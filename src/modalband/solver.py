@@ -185,6 +185,20 @@ def objective(problem: MirProblem, c) -> float:
 _NONCROSS_GRID = 1001
 
 
+def _rank_deficient(problem: MirProblem, reason: str, penalty, data) -> ValueError:
+    """The refusal of a singular normal matrix, naming its cause: knot
+    segments that hold no observation, or else a penalty term 2 lam P'QP
+    that outweighs the data term A'A (it grows as x's unit shrinks, cubed)."""
+    ratio = np.abs(penalty).max() / np.abs(data).max()
+    if problem.empty_segments or not ratio > 1.0:
+        cause = (f"{problem.empty_segments} of {problem.basis.segments} knot segments "
+                 "hold no observation")
+    else:
+        cause = (f"the penalty term outweighs the data term {ratio:.3g} to 1 (largest "
+                 "entries of 2 lam P'QP and A'A); rescaling x or lowering --penalty helps")
+    return ValueError(f"rank-deficient constraints: {reason}; {cause}")
+
+
 def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     """Run scaled ADMM on the assembled program for exactly ``iters`` steps.
 
@@ -214,16 +228,15 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     m = GN.shape[0]
     G = np.hstack([GN, -GN])  # non-crossing rows on theta_up - theta_low
 
-    M = np.kron(np.eye(2), 2.0 * problem.lam * problem.basis.penalty + AN.T @ AN) + G.T @ G
-    empty = (f"{problem.empty_segments} of {problem.basis.segments} knot segments "
-             "hold no observation")
+    penalty, data = 2.0 * problem.lam * problem.basis.penalty, AN.T @ AN
+    M = np.kron(np.eye(2), penalty + data) + G.T @ G
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"rank-deficient constraints: {exc}; {empty}") from exc
+        raise _rank_deficient(problem, str(exc), penalty, data) from exc
     pivots = np.diag(L) ** 2
     if pivots.min() <= pivots.max() * 1e-13:
-        raise ValueError(f"rank-deficient constraints: singular normal matrix; {empty}")
+        raise _rank_deficient(problem, "singular normal matrix", penalty, data)
     L_inv = np.linalg.inv(L)
     M_inv = L_inv.T @ L_inv
 

@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,14 @@ def write_band_csv(path, x, mid):
         m = float(mid[k])
         lines.append(f"{float(x[k])!r},{m - 0.5!r},{m + 0.5!r},{m!r}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def write_hourly_csv(path):
+    """The paper's hourly design: hours 0..240 twice, log-normal responses."""
+    x = np.repeat(np.arange(0, 241.0), 2)
+    y = np.exp(1.0 + 0.3 * np.sin(2.0 * np.pi * x / 24.0)
+               + np.random.default_rng(7).normal(0.0, 0.4, x.size))
+    write_xy_csv(path, Dataset(x, y))
 
 
 @pytest.fixture(scope="module")
@@ -502,6 +511,34 @@ def test_fit_on_a_covariate_of_extreme_scale_ends_in_a_model_or_one_error_line(
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("case", ["tiny-unit", "cauchy"])
+def test_a_singular_normal_matrix_is_one_error_naming_its_cause(tmp_path, capsys, case):
+    if case == "tiny-unit":
+        # every segment holds data, but at x * 1e-5 the curvature penalty's
+        # entries are ~1e14 times the data term's
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 10.0, 300)
+        data = Dataset(x * 1e-5, np.sin(x) + rng.normal(0.0, 0.3, x.size))
+    else:
+        # 18 of the 20 segments over the Cauchy draw's span hold no observation
+        rng = np.random.default_rng(5)
+        x = rng.standard_cauchy(500)
+        data = Dataset(x, np.arctan(x) + rng.normal(0.0, 0.3, x.size))
+    source = tmp_path / "xy.csv"
+    write_xy_csv(source, data)
+    model = tmp_path / "m.json"
+    assert main(["fit", "--input", str(source), "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and not model.exists()
+    prefix = "error: rank-deficient constraints: singular normal matrix; "
+    if case == "tiny-unit":
+        assert re.fullmatch(re.escape(prefix) + r"the penalty term outweighs the data term "
+                            r"\S+e\+14 to 1 \(largest entries of 2 lam P'QP and A'A\); "
+                            r"rescaling x or lowering --penalty helps\n", err), err
+    else:
+        assert err == prefix + "18 of 20 knot segments hold no observation\n"
+
+
 def test_running_out_of_memory_is_one_error_line(xy_csv, tmp_path, capsys, monkeypatch):
     message = "Unable to allocate 26.8 GiB for an array with shape (120000, 30003)"
 
@@ -660,6 +697,62 @@ def test_an_unreadable_csv_line_is_one_error_that_names_the_file(
     assert not out.exists()
 
 
+def test_a_byte_order_mark_leaves_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    # the mark's three bytes are decoded, then dropped, so 0xe9 is on line 2
+    source = tmp_path / "in.csv"
+    source.write_bytes(b"\xef\xbb\xbfx,y\n\xe9,1\n")
+    model = tmp_path / "m.json"
+    assert main(["fit", "--input", str(source), "--model", str(model)]) == 1
+    assert capsys.readouterr().err == f"error: {source}: line 2: byte 0xe9 is not UTF-8\n"
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_csv_lines_may_end_in_a_carriage_return(tmp_path, end):
+    path = tmp_path / "xy.csv"
+    path.write_bytes(end.join(["x,y", "1,2", "3,4"]).encode())
+    cols = read_csv(str(path), ("x", "y"))
+    assert cols["x"].tolist() == [1.0, 3.0] and cols["y"].tolist() == [2.0, 4.0]
+    # the quoted field spans lines 2 and 3, so the faulty row is on line 4
+    path.write_bytes(end.join(["x,y", '"1', '",2', "3,abc", ""]).encode())
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4: non-numeric"):
+        read_csv(str(path), ("x", "y"))
+
+
+def test_a_model_saved_with_a_byte_order_mark_loads(xy_csv, tmp_path, capsys):
+    model, _ = run_fit(xy_csv, tmp_path)
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+    outputs = []
+    for source in (model, marked):
+        out = tmp_path / f"{source.stem}-band.csv"
+        assert main(["band", "--model", str(source), "--output", str(out)]) == 0, \
+            capsys.readouterr().err
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+
+
+def test_a_model_byte_that_is_not_utf8_is_one_error_naming_its_line(xy_csv, tmp_path, capsys):
+    model, _ = run_fit(xy_csv, tmp_path)
+    first, rest = model.read_bytes().split(b"\n", 1)
+    model.write_bytes(first + b'\n  "note": "caf\xe9",\n' + rest)
+    out = tmp_path / "out.csv"
+    assert main(["band", "--model", str(model), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {model}: line 2: byte 0xe9 is not UTF-8\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_a_model_that_cannot_be_read_is_one_error_naming_it(tmp_path, capsys, kind):
+    model = tmp_path / "m.json"
+    if kind == "directory":
+        model.mkdir()
+    assert main(["band", "--model", str(model), "--output", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {model}: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_invalid_lambda_list(xy_csv, tmp_path, capsys):
     out = str(tmp_path / "cv.csv")
     assert main(["cv", "--input", str(xy_csv), "--output", out,
@@ -705,6 +798,23 @@ def test_cli_import_loads_no_process_pool():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_fit_imports_neither_numpy_ma_nor_statistics(tmp_path):
+    # np.percentile's first call imports numpy.ma (10-17 ms), and statistics
+    # takes 3-5 ms: neither is needed to fit the hourly design
+    data, model = tmp_path / "hourly.csv", tmp_path / "m.json"
+    write_hourly_csv(data)
+    src = os.path.dirname(os.path.dirname(modalband.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; from modalband.cli import main; "
+            f"assert main(['fit', '--input', {str(data)!r}, '--model', {str(model)!r}]) == 0; "
+            "print(sorted({'numpy.ma', 'statistics'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -982,3 +1092,37 @@ def test_commands_run_without_scipy(xy_csv, tmp_path):
     for name in ("m.json", "band.csv", "band2.csv", "cycles.csv", "cv.csv",
                  "sim/replications.csv", "sim/summary.csv"):
         assert (tmp_path / name).is_file(), name
+
+
+# ---------------------------------------------------------------------------
+# known faults
+# ---------------------------------------------------------------------------
+
+_ADMM_CROSSES = ("ROADMAP item 2: ADMM's fixed 1000 iterations stop short of the "
+                 "optimum, and this band crosses; an exact solver passes")
+
+
+def _crossings(caught):
+    return [str(w.message) for w in caught if "non-crossing violated" in str(w.message)]
+
+
+@pytest.mark.xfail(strict=True, reason=_ADMM_CROSSES)
+def test_cv_on_the_hourly_design_fits_no_crossing_band(tmp_path, capsys):
+    # today one fold fit crosses by 5.385e-06
+    data = tmp_path / "hourly.csv"
+    write_hourly_csv(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["cv", "--input", str(data), "--output", str(tmp_path / "cv.csv"),
+                     "--seed", "1"]) == 0
+    assert not _crossings(caught)
+
+
+@pytest.mark.xfail(strict=True, reason=_ADMM_CROSSES)
+def test_simulate_dist_two_fits_no_crossing_band(tmp_path, capsys):
+    # today one replication's fit crosses by 3.344e-05
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--dist", "2", "--n", "1000", "--reps", "2", "--seed", "0",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert not _crossings(caught)
