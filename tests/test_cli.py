@@ -530,13 +530,15 @@ def test_a_singular_normal_matrix_is_one_error_naming_its_cause(tmp_path, capsys
     assert main(["fit", "--input", str(source), "--model", str(model)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and not model.exists()
-    prefix = "error: rank-deficient constraints: singular normal matrix; "
     if case == "tiny-unit":
-        assert re.fullmatch(re.escape(prefix) + r"the penalty term outweighs the data term "
-                            r"\S+e\+14 to 1 \(largest entries of 2 lam P'QP and A'A\); "
-                            r"rescaling x or lowering --penalty helps\n", err), err
+        # the pivot check or, on another LAPACK, the Cholesky factorization refuses it
+        assert re.fullmatch(r"error: rank-deficient constraints: [^;]+; the penalty term "
+                            r"outweighs the data term \S+e\+14 to 1 \(largest entries of "
+                            r"2 lam P'QP and A'A\); rescaling x or lowering --penalty helps\n",
+                            err), err
     else:
-        assert err == prefix + "18 of 20 knot segments hold no observation\n"
+        assert err == ("error: rank-deficient constraints: singular normal matrix; "
+                       "18 of 20 knot segments hold no observation\n")
 
 
 def test_running_out_of_memory_is_one_error_line(xy_csv, tmp_path, capsys, monkeypatch):
