@@ -198,9 +198,9 @@ def _capped_source(data: Dataset, h: float, rng) -> Dataset:
     n = len(data)
     if n <= _SOURCE_SIZE:
         return data
-    keep = np.sort(np.random.default_rng(rng).choice(n, size=_SOURCE_SIZE, replace=False))
-    gap = _nearest_gap(np.sort(data.x[keep]), data.x)
-    keep = np.union1d(keep, np.flatnonzero(gaussian_kernel(gap / h) < WEIGHT_FLOOR))
+    keep = np.zeros(n, dtype=bool)
+    keep[np.random.default_rng(rng).choice(n, size=_SOURCE_SIZE, replace=False)] = True
+    keep |= gaussian_kernel(_nearest_gap(np.sort(data.x[keep]), data.x) / h) < WEIGHT_FLOOR
     return Dataset(data.x[keep], data.y[keep])
 
 

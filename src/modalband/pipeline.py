@@ -185,7 +185,7 @@ _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 def read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
     """Read a headered UTF-8 CSV of finite numbers; errors name the file line."""
     rows = csv.reader(map(re.Match.group, _LINE.finditer(_read_text(path))))
-    data: list[list[float]] = []
+    values: list[float] = []  # every cell, row after row, reshaped once at the end
     try:
         header = next(rows, None)
         if header is None:
@@ -204,7 +204,6 @@ def read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
                     f"{path}: line {rows.line_num}: expected {len(columns)} fields, "
                     f"got {len(row)}"
                 )
-            values = []
             for cell in row:
                 try:
                     values.append(float(cell))
@@ -214,12 +213,11 @@ def read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
                     ) from None
                 if not math.isfinite(values[-1]):
                     raise ValueError(f"{path}: line {rows.line_num}: non-finite value {cell!r}")
-            data.append(values)
     except csv.Error as exc:
         raise ValueError(f"{path}: line {rows.line_num}: {exc}") from None
-    if not data:
+    if not values:
         raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(data, dtype=float)
+    arr = np.array(values).reshape(-1, len(columns))
     return {name: arr[:, k] for k, name in enumerate(columns)}
 
 
@@ -266,7 +264,7 @@ def load_model(path: str):
     try:
         payload = json.loads(text)
         basis = SplineBasis(np.asarray(payload["knots"], dtype=float))
-        order = int(payload["degree"]), int(payload["smoothness"])
+        order = payload["degree"], payload["smoothness"]
         upper = np.asarray(payload["upper"], dtype=float)
         lower = np.asarray(payload["lower"], dtype=float)
         residuals = payload.get("residuals", {})
@@ -279,9 +277,10 @@ def load_model(path: str):
     except (TypeError, ValueError, AttributeError) as exc:
         # not JSON text, a field of the wrong JSON type, or a top level that is no object
         raise ValueError(f"model file {path} is malformed: {exc}") from exc
-    if order != (basis.degree, basis.smoothness):
-        raise ValueError(f"model file {path} holds splines of degree {order[0]} and smoothness "
-                         f"{order[1]}; only C^2 cubics (degree 3, smoothness 2) load")
+    if order != (basis.degree, basis.smoothness):  # as given: "3", 3.9 and true are refused
+        degree, smoothness = map(json.dumps, order)  # and named as the file writes them
+        raise ValueError(f"model file {path} holds splines of degree {degree} and smoothness "
+                         f"{smoothness}; only C^2 cubics (degree 3, smoothness 2) load")
     if upper.shape != (basis.size,) or lower.shape != (basis.size,):
         raise ValueError(
             f"model file {path} has inconsistent coefficient counts"

@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -177,13 +178,16 @@ def test_a_cubic_model_file_of_an_earlier_release_loads_unchanged(tmp_path):
     assert band.upper_at(7.5) == pytest.approx(3.5)
 
 
-@pytest.mark.parametrize("field, value", [("degree", 2), ("smoothness", 1)])
+# int() would read 3.9 and "3" as degree 3, 2.5 as smoothness 2, and true as degree 1
+@pytest.mark.parametrize("field, value", [("degree", 2), ("smoothness", 1), ("degree", 3.9),
+                                          ("degree", "3"), ("smoothness", 2.5), ("degree", True)])
 def test_a_model_file_that_is_no_c2_cubic_is_refused_by_name(tmp_path, capsys, field, value):
     model = tmp_path / "m.json"
     model.write_text(json.dumps({**PARENT_MODEL, field: value}))
-    order = {"degree": 3, "smoothness": 2, field: value}
-    message = (f"model file {model} holds splines of degree {order['degree']} and "
-               f"smoothness {order['smoothness']}; only C^2 cubics (degree 3, smoothness 2) load")
+    order = {"degree": 3, "smoothness": 2, field: value}  # named as the file writes them
+    message = (f"model file {model} holds splines of degree {json.dumps(order['degree'])} and "
+               f"smoothness {json.dumps(order['smoothness'])}; "
+               "only C^2 cubics (degree 3, smoothness 2) load")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_model(str(model))
     out = tmp_path / "out.csv"
@@ -614,6 +618,22 @@ def test_a_blank_line_between_csv_rows_is_skipped(tmp_path):
     assert cols["x"].tolist() == [1.0, 3.0] and cols["y"].tolist() == [2.0, 4.0]
 
 
+def test_read_csv_holds_at_most_four_times_its_file(tmp_path):
+    # every cell goes to one flat list, reshaped once: about 2.7 times the file
+    path = tmp_path / "xy.csv"
+    rng = np.random.default_rng(2)
+    write_xy_csv(path, Dataset(rng.uniform(0.0, 10.0, 10**5), rng.normal(0.0, 1.0, 10**5)))
+    tracemalloc.start()
+    try:
+        cols = read_csv(str(path), ("x", "y"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * path.stat().st_size
+    expected = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(cols["x"], expected[:, 0]) and np.array_equal(cols["y"], expected[:, 1])
+
+
 def test_dataset_errors_name_the_file(tmp_path, capsys):
     bad = tmp_path / "nan.csv"
     bad.write_text("x,y\n1,nan\n2,3\n")
@@ -802,11 +822,8 @@ def test_cli_import_loads_no_process_pool():
     assert run.stdout == "[]\n"
 
 
-def test_fit_imports_neither_numpy_ma_nor_statistics(tmp_path):
-    # np.percentile's first call imports numpy.ma (10-17 ms), and statistics
-    # takes 3-5 ms: neither is needed to fit the hourly design
-    data, model = tmp_path / "hourly.csv", tmp_path / "m.json"
-    write_hourly_csv(data)
+def slow_modules_a_fit_imports(data, model):
+    """Which of numpy.ma and statistics a fresh process imports to fit ``data``."""
     src = os.path.dirname(os.path.dirname(modalband.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -816,7 +833,23 @@ def test_fit_imports_neither_numpy_ma_nor_statistics(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    return run.stdout.splitlines()[-1]
+
+
+def test_fit_imports_neither_numpy_ma_nor_statistics(tmp_path):
+    # np.percentile's first call imports numpy.ma (10-17 ms), and statistics
+    # takes 3-5 ms: neither is needed to fit the hourly design
+    data = tmp_path / "hourly.csv"
+    write_hourly_csv(data)
+    assert slow_modules_a_fit_imports(data, tmp_path / "m.json") == "[]"
+
+
+def test_fit_above_the_source_size_imports_no_numpy_ma(tmp_path):
+    # 2 000 observations draw a subsample; np.union1d would import numpy.ma
+    data = tmp_path / "uniform.csv"
+    rng = np.random.default_rng(4)
+    write_xy_csv(data, Dataset(rng.uniform(0.0, 10.0, 2000), rng.normal(0.0, 1.0, 2000)))
+    assert slow_modules_a_fit_imports(data, tmp_path / "m.json") == "[]"
 
 
 # ---------------------------------------------------------------------------
