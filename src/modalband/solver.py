@@ -18,8 +18,13 @@ step size 1, in which z1 is a componentwise quantile-loss proximal step
 and z2 a projection onto the nonnegative orthant.  The theta-update is an
 unconstrained least-squares problem whose 2r x 2r normal matrix is
 Cholesky-factored and inverted once per fit.  Both z-steps are one clip
-of a single (2, n + m) array, so an iteration costs three small matrix
-products and a handful of vector operations.  Only numpy is needed.
+of a single array, so an iteration costs three small matrix products and
+a handful of vector operations.  A design row is zero outside its knot
+segment's four B-splines, so the rows are grouped by runs of ``span``
+segments, touching span + 3 B-splines each, and each design product is
+one stacked product over the groups.  ``span`` minimizes an estimated time
+per iteration; small or skewed designs get one group, the whole design as
+one block.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -53,11 +58,14 @@ class MirProblem:
     at x; the penalty P'Q P and the non-crossing rows G P on
     theta_up - theta_low depend on the knot grid alone and are read from
     ``basis.penalty`` and ``basis.noncross``.  ``p``, ``y`` and ``w`` stack
-    the upper-curve rows first, then the lower.  ``empty_segments`` counts
-    the knot segments that hold no observation.
+    the upper-curve rows first, then the lower.  ``first`` holds each row's
+    first nonzero B-spline, which is its knot segment: row i of ``AN`` is
+    zero outside columns first[i] ... first[i] + 3.  ``empty_segments``
+    counts the knot segments that hold no observation.
     """
 
     AN: np.ndarray
+    first: np.ndarray
     p: np.ndarray
     y: np.ndarray
     w: np.ndarray
@@ -139,6 +147,7 @@ def assemble(
     seg = basis.segment_index(data.x)  # raises when x leaves the knot range
     return MirProblem(
         AN=_bspline_rows(basis, seg, data.x - basis.knots[seg]),
+        first=seg,
         p=np.concatenate([levels.p_up, levels.p_low]),
         y=np.concatenate([data.y, data.y]),
         w=np.concatenate([weights, weights]),
@@ -199,6 +208,84 @@ def _rank_deficient(problem: MirProblem, reason: str, penalty, data) -> ValueErr
     return ValueError(f"rank-deficient constraints: {reason}; {cause}")
 
 
+# Estimated time of one ADMM iteration, in microseconds, on rows grouped by
+# runs of knot segments: a fixed cost once there is more than one group,
+# then costs per stored row slot (the clip steps), per multiply-add of the
+# two stacked products and per (groups span + 3) x groups (span + 3) block
+# of the theta-update's GEMV.  Fitted by least squares to whole-fit medians
+# at every span on 20- and 35-segment designs of n = 200 ... 3 000 (one BLAS
+# thread, 2-core x86-64, numpy 2.4, OpenBLAS 0.3.31; CHANGES.md has them),
+# the first raised from 1.6 to 2.2 so that hourly x 2 and uniform n = 500,
+# where every span ran within 3% of one group, keep one group.
+_COST_GROUPS, _COST_SLOT, _COST_MAC, _COST_GEMV = 2.2, 6e-3, 2.7e-4, 1.5e-3
+
+
+def _span_cost(edges: list, span: int) -> float:
+    """Estimated time of one iteration with ``span`` knot segments per group;
+    ``edges`` holds the running row counts of the segments, from 0."""
+    segments = len(edges) - 1
+    groups = -(-segments // span)
+    largest = max(edges[min(k + span, segments)] - edges[k] for k in range(0, segments, span))
+    slots = groups * (largest + 4 * span)
+    width = span + 3  # B-splines a group touches
+    return ((groups > 1) * _COST_GROUPS + slots * (_COST_SLOT + _COST_MAC * width)
+            + _COST_GEMV * (groups * span + 3) * groups * width)
+
+
+def _choose_span(counts: np.ndarray) -> int:
+    """The span, 1 ... segments, of least estimated time per iteration, from
+    the row count of each segment."""
+    edges = [0, *np.cumsum(counts).tolist()]
+    return min(range(1, len(counts) + 1), key=lambda span: _span_cost(edges, span))
+
+
+def _grouped_rows(problem: MirProblem, span: int):
+    """The split rows of both curves grouped by runs of ``span`` knot segments.
+
+    Group k holds the loss rows of segments k span ... (k + 1) span - 1 in
+    their order, zero-padded to the largest group, then a tail of those
+    segments' 4 span non-crossing rows; every row in it is zero outside
+    the span + 3 B-splines k span ... k span + span + 2.  Returns the design
+    D, (groups, span + 3, slots), one row per slot stored as a column, and
+    y, lo and hi, (groups, 2, slots).  A padding slot has a zero design and
+    y = lo = hi = 0.  With one group, D[0] is [AN; GN]' in row order.
+    """
+    AN, GN, n = problem.AN, problem.basis.noncross, problem.n
+    segments = problem.basis.segments
+    groups = -(-segments // span)
+    group = problem.first // span
+    counts = np.bincount(group, minlength=groups)
+    tail = counts.max()
+    slots = tail + 4 * span
+    slot = np.empty(n, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    slot[np.argsort(group, kind="stable")] = np.arange(n) - np.repeat(starts, counts)
+
+    y, lo, hi = (np.zeros((groups, 2, slots)) for _ in range(3))
+    at = group * 2 * slots + slot  # flat index of each loss row on curve 0
+    at = np.concatenate([at, at + slots])  # then on curve 1, stacked as y, p and w are
+    np.put(y, at, problem.y)
+    np.put(lo, at, -((1.0 - problem.p) * problem.w))
+    np.put(hi, at, problem.p * problem.w)
+    hi[:, 0, tail:] = np.inf
+
+    # the loss rows, then segment j's 4 non-crossing rows, which sit
+    # 4 (j - k span) slots into group k's tail
+    seg = np.repeat(np.arange(segments), 4)
+    rows_first = np.concatenate([problem.first, seg])
+    rows_group = rows_first // span
+    rows_slot = np.concatenate([slot, tail + np.arange(4 * segments) - 4 * span * rows_group[n:]])
+    four = np.arange(4)
+    values = np.concatenate([  # each row's B-splines first ... first + 3
+        np.take(AN, (np.arange(n) * AN.shape[1] + problem.first)[:, None] + four),
+        np.take(GN, (np.arange(4 * segments) * GN.shape[1] + seg)[:, None] + four)])
+    # flat index in D of each row's B-spline rows_first, then + slots per next one
+    at = (rows_group * (span + 3) + rows_first - span * rows_group) * slots + rows_slot
+    D = np.zeros((groups, span + 3, slots))
+    np.put(D, at[:, None] + slots * four, values)
+    return D, y, lo, hi
+
+
 def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     """Run scaled ADMM on the assembled program for exactly ``iters`` steps.
 
@@ -207,7 +294,9 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     The theta-update solves an unconstrained quadratic subproblem with
     the inverse of its normal matrix, formed once from a Cholesky factor.
     There is no early stop: the primal and dual residual norms are those
-    of the last iterate, the dual one measured in theta coordinates.
+    of the last iterate, the dual one projected onto the continuous
+    splines, P (P'P)^-1 theta-coordinate residual, so that no choice of
+    B-spline coordinates changes it.
 
     Parameters
     ----------
@@ -224,8 +313,7 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     """
     _check_iters(iters)
     AN, GN = problem.AN, problem.basis.noncross
-    n, r = AN.shape
-    m = GN.shape[0]
+    r = AN.shape[1]
     G = np.hstack([GN, -GN])  # non-crossing rows on theta_up - theta_low
 
     penalty, data = 2.0 * problem.lam * problem.basis.penalty, AN.T @ AN
@@ -240,40 +328,51 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     L_inv = np.linalg.inv(L)
     M_inv = L_inv.T @ L_inv
 
-    # The split rows share one (2, n + m) layout: row 0 holds the upper
-    # curve's n loss rows and then the m non-crossing rows, row 1 the lower
-    # curve's loss rows and m slots that mirror row 0's with the sign of
-    # G's second block.  With E = [AN; GN] and theta as the 2 x r matrix T,
-    # T @ E.T is A theta on the loss rows; row 0's tail minus row 1's tail
-    # is G theta.  The state is W = z - u and C = -u.  On a loss row the
-    # prox step is z = v + clip(y - v, -(1 - p) w, p w) at v = A theta + u;
-    # a non-crossing row has y = 0 and the bounds 0 and +inf, so z is the
+    # Each curve's split rows are grouped by runs of `span` knot segments
+    # (see _grouped_rows): a group's slots on both curves are one (2, slots)
+    # block, and its window of theta times its D is A theta on its loss
+    # slots.  The tail of curve 0 minus that of curve 1 is G theta.  The state is
+    # W = z - u and C = -u.  On a loss slot the prox step is
+    # z = v + clip(y - v, -(1 - p) w, p w) at v = A theta + u; a
+    # non-crossing slot has y = 0 and the bounds 0 and +inf, so z is the
     # projection max(v, 0).  The dual update then leaves u = -clip(...).
-    # in Fortran order both W @ E and T @ E.T read contiguous memory, the
-    # fast layout for these thin BLAS products
-    E = np.asfortranarray(np.vstack([AN, GN]))
-    Et = E.T
-    y = np.zeros((2, n + m))
-    lo = np.zeros((2, n + m))
-    hi = np.zeros((2, n + m))
-    y[:, :n] = problem.y.reshape(2, n)
-    lo[:, :n] = -((1.0 - problem.p) * problem.w).reshape(2, n)
-    hi[:, :n] = (problem.p * problem.w).reshape(2, n)
-    hi[0, n:] = np.inf
-    W = np.zeros((2, n + m))
-    C = np.zeros((2, n + m))
-    v = np.empty((2, n + m))
-    T = np.empty((2, r))
-    B = np.empty((2, r))
+    # Theta sits in a zero-padded (2, groups span + 3) buffer; group k reads
+    # the window k span ... k span + span + 2 of it, and M_inv's columns are
+    # gathered so that one GEMV both sums the groups' products and solves.
+    span = _choose_span(np.bincount(problem.first, minlength=problem.basis.segments))
+    D, y, lo, hi = _grouped_rows(problem, span)
+    groups, _, slots = y.shape
+    tail, width = slots - 4 * span, groups * span + 3
+    M_pad = np.zeros((2, width, 2, width))
+    M_pad[:, :r, :, :r] = M_inv.reshape(2, r, 2, r)
+    cols = (np.arange(groups)[:, None, None] * span + np.arange(2)[:, None] * width
+            + np.arange(span + 3)).ravel()  # entry (k, c, j) of the products
+    M_cols = np.ascontiguousarray(M_pad.reshape(2 * width, 2 * width)[:, cols])
+    B = np.empty((groups, 2, span + 3))
+    T = np.zeros((2, width))
+    step, row = T.strides[1], T.strides[0]
+    windows = np.lib.stride_tricks.as_strided(
+        T, (groups, 2, span + 3), (span * step, row, step), writeable=False)
     theta, rhs = T.reshape(-1), B.reshape(-1)
-    g_up, g_low, q_up, q_low = v[0, n:], v[1, n:], W[0, n:], W[1, n:]
+    product = np.matmul
+    if groups == 1:  # np.dot on the one 2-D block costs less per call than matmul on a stack
+        D, y, lo, hi, B, windows = D[0], y[0], lo[0], hi[0], B[0], windows[0]
+        product = np.dot
+    # in C order both W @ D' and the windows @ D read contiguous memory, the
+    # fast layout for these thin BLAS products
+    Dt = D.swapaxes(-1, -2)
+    # one block, so that their relative offsets, which moved the loop's time
+    # by several percent at n = 482, do not depend on the allocator
+    W, C, v = np.zeros((3,) + y.shape)
+    g_up, g_low = v[..., 0, tail:], v[..., 1, tail:]
+    q_up, q_low = W[..., 0, tail:], W[..., 1, tail:]
 
     for it in range(1, iters + 1):
         if it == iters:
             W_prev, C_prev = W.copy(), C.copy()
-        np.dot(W, E, out=B)  # A'(z1 - u1) + G'(z2 - u2)
-        np.dot(M_inv, rhs, out=theta)
-        np.dot(T, Et, out=v)
+        product(W, Dt, out=B)  # A'(z1 - u1) + G'(z2 - u2), per group
+        np.dot(M_cols, rhs, out=theta)
+        product(windows, D, out=v)
         g_up -= g_low
         np.subtract(C, v, out=v)  # -(A theta + u)
         np.add(y, v, out=C)
@@ -283,16 +382,18 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
         W += C
         np.negative(q_up, out=q_low)
 
-    # primal: A theta - z = u - u_prev; dual: A'(z - z_prev), G rows included
+    # primal: A theta - z = u - u_prev; dual: A'(z - z_prev), G rows
+    # included, taken to coefficients P theta and projected onto range(P)
+    P = problem.basis.null_space
     primal = np.linalg.norm(C_prev - C)
     dz = (W - C) - (W_prev - C_prev)
-    dz[1, n:] = -dz[0, n:]
-    dual = np.linalg.norm(dz @ E)
-    if not (np.all(np.isfinite(theta)) and np.isfinite(primal) and np.isfinite(dual)):
+    dz[..., 1, tail:] = -dz[..., 0, tail:]
+    g = np.bincount(cols, np.matmul(dz, Dt).ravel(), minlength=2 * width)
+    dual = np.linalg.norm(P @ np.linalg.solve(P.T @ P, g.reshape(2, width)[:, :r].T))
+    if not (np.all(np.isfinite(T)) and np.isfinite(primal) and np.isfinite(dual)):
         raise RuntimeError(f"non-finite iterates after {iters} iterations")
 
-    P = problem.basis.null_space
-    upper, lower = P @ theta[:r], P @ theta[r:]
+    upper, lower = P @ T[0, :r], P @ T[1, :r]
     grid = np.linspace(problem.basis.knots[0], problem.basis.knots[-1], _NONCROSS_GRID)
     gap = eval_spline(upper, problem.basis, grid) - eval_spline(lower, problem.basis, grid)
     violation = float(max(0.0, -gap.min()))

@@ -1,18 +1,20 @@
 """Program assembly, proximal steps, and ADMM convergence."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from modalband import pipeline
+from modalband import pipeline, solver
 from modalband.intervals import QuantileLevelSet, _capped_source, estimate_intervals_at
 from modalband.kde import Dataset, conditional_cdf
 from modalband.model_select import select_lambda_cv
 from modalband.pipeline import fit_band, run_step1, run_step2
 from modalband.simulate import gen_dist1
 from modalband.solver import (
+    _choose_span,
     admm_fit,
     assemble,
     objective,
@@ -54,6 +56,7 @@ def test_assemble_block_shapes():
     assert np.allclose(problem.AN, design_matrix(data.x, basis) @ basis.null_space,
                        rtol=0.0, atol=1e-14)
     assert problem.n == 3
+    assert np.array_equal(problem.first, basis.segment_index(data.x))
     assert np.array_equal(problem.p, [0.7, 0.75, 0.8, 0.2, 0.25, 0.3])
     assert np.array_equal(problem.y, np.tile(data.y, 2))
     assert np.array_equal(problem.w, np.ones(6))
@@ -461,8 +464,8 @@ def test_admm_refuses_non_finite_iterates():
 def kkt_admm_reference(problem, x, iters):
     """ADMM at step size 1 over all 2m coefficients of the dense design at
     x, continuity carried as KKT equality rows; returns the coefficients and
-    the last iterate's primal and dual residual norms, the dual one in
-    B-spline coordinates."""
+    the last iterate's primal and dual residual norms, the dual one
+    projected onto the continuous splines, range(N)."""
     linalg = pytest.importorskip("scipy.linalg")
     block_diag, lu_factor, lu_solve = linalg.block_diag, linalg.lu_factor, linalg.lu_solve
     basis = problem.basis
@@ -490,7 +493,8 @@ def kkt_admm_reference(problem, x, iters):
         u2 = u2 + Gc - z2
     primal = np.hypot(np.linalg.norm(Ac - z1), np.linalg.norm(Gc - z2))
     N = block_diag(basis.null_space, basis.null_space)
-    dual = np.linalg.norm(N.T @ (A.T @ (z1 - z1_prev) + G.T @ (z2 - z2_prev)))
+    g = N.T @ (A.T @ (z1 - z1_prev) + G.T @ (z2 - z2_prev))
+    dual = np.linalg.norm(N @ np.linalg.solve(N.T @ N, g))
     return c, primal, dual
 
 
@@ -517,3 +521,145 @@ def test_null_space_admm_matches_kkt_form():
         assert np.max(np.abs(H @ early.upper)) <= 1e-12
         assert np.max(np.abs(H @ early.lower)) <= 1e-12
     assert np.max(np.abs(early.upper)) > 0.1  # the check is not vacuous
+
+
+def dense_admm_reference(problem, iters=1000):
+    """Stage 2's ADMM loop on one dense (2, n + m) layout over E = [AN; GN],
+    before the rows were grouped by knot segments; returns both curves'
+    coefficients and the last iterate's primal residual norm."""
+    AN, GN = problem.AN, problem.basis.noncross
+    n, r = AN.shape
+    m = GN.shape[0]
+    G = np.hstack([GN, -GN])
+    M = (np.kron(np.eye(2), 2.0 * problem.lam * problem.basis.penalty + AN.T @ AN)
+         + G.T @ G)
+    L_inv = np.linalg.inv(np.linalg.cholesky(M))
+    M_inv = L_inv.T @ L_inv
+    E = np.asfortranarray(np.vstack([AN, GN]))
+    Et = E.T
+    y = np.zeros((2, n + m))
+    lo = np.zeros((2, n + m))
+    hi = np.zeros((2, n + m))
+    y[:, :n] = problem.y.reshape(2, n)
+    lo[:, :n] = -((1.0 - problem.p) * problem.w).reshape(2, n)
+    hi[:, :n] = (problem.p * problem.w).reshape(2, n)
+    hi[0, n:] = np.inf
+    W = np.zeros((2, n + m))
+    C = np.zeros((2, n + m))
+    v = np.empty((2, n + m))
+    T = np.empty((2, r))
+    B = np.empty((2, r))
+    theta, rhs = T.reshape(-1), B.reshape(-1)
+    g_up, g_low, q_up, q_low = v[0, n:], v[1, n:], W[0, n:], W[1, n:]
+    for it in range(1, iters + 1):
+        if it == iters:
+            C_prev = C.copy()
+        np.dot(W, E, out=B)
+        np.dot(M_inv, rhs, out=theta)
+        np.dot(T, Et, out=v)
+        g_up -= g_low
+        np.subtract(C, v, out=v)
+        np.add(y, v, out=C)
+        np.maximum(C, lo, out=C)
+        np.minimum(C, hi, out=C)
+        np.subtract(C, v, out=W)
+        W += C
+        np.negative(q_up, out=q_low)
+    P = problem.basis.null_space
+    return P @ theta[:r], P @ theta[r:], np.linalg.norm(C_prev - C)
+
+
+def uniform_covariate(n, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 10.0, n)
+    return Dataset(x, np.sin(x) + rng.normal(0.0, 0.3, n))
+
+
+def band_problem(data, basis=None, lam=1e-2):
+    """The program at levels 0.25 and 0.75, by default on 20 uniform segments over x."""
+    n = len(data)
+    basis = basis or SplineBasis.uniform(data.x.min(), data.x.max())
+    levels = QuantileLevelSet(np.full(n, 0.25), np.full(n, 0.75))
+    weights = np.random.default_rng(1).uniform(0.5, 2.0, n)
+    return assemble(data, levels, weights, basis, lam)
+
+
+GROUPED_INPUTS = {  # the program and an iteration budget
+    "uniform-n3000": lambda: (band_problem(uniform_covariate(3000)), 1000),
+    "hourly-x2": lambda: (band_problem(hourly(2), lam=0.1), 1000),
+    "lognormal-x-n500": lambda: (band_problem(skewed_covariate(500)), 1000),
+    # knots every half hour, so every other segment holds no observation; the
+    # dense loop takes ~2 ms an iteration on this 483-column design
+    "hourly-480-segments": lambda: (
+        band_problem(hourly(2), SplineBasis.uniform(0.0, 240.0, 480), 0.1), 200),
+    "one-segment": lambda: (
+        band_problem(uniform_covariate(500), SplineBasis.uniform(0.0, 10.0, 1)), 1000),
+}
+
+
+@pytest.mark.parametrize("name", GROUPED_INPUTS)
+def test_rows_grouped_by_segments_match_the_dense_loop(monkeypatch, name):
+    problem, iters = GROUPED_INPUTS[name]()
+    segments = problem.basis.segments
+
+    def fit(span):
+        monkeypatch.setattr(solver, "_choose_span", lambda counts: span)
+        return admm_fit(problem, iters)
+
+    # one group holds today's arrays, so it gives today's numbers to the bit
+    upper, lower, primal = dense_admm_reference(problem, iters)
+    one = fit(segments)
+    assert np.array_equal(one.upper, upper) and np.array_equal(one.lower, lower)
+    assert one.primal_residual == primal
+    # more groups sum each product in another order
+    rtol = 1e-9 if name == "lognormal-x-n500" else 1e-12
+    for span in sorted({min(span, segments) for span in (1, 2, 3, 7)}):
+        band = fit(span)
+        for got, want in ((band.upper, one.upper), (band.lower, one.lower)):
+            assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)), span
+        assert band.primal_residual == pytest.approx(one.primal_residual, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("x, one_group", [
+    (hourly(2).x, True),
+    (np.random.default_rng(0).uniform(0.0, 10.0, 500), True),
+    (skewed_covariate(500).x, True),
+    (np.random.default_rng(0).uniform(0.0, 10.0, 10_000), False),
+], ids=["hourly-x2", "uniform-n500", "lognormal-x-n500", "uniform-n10000"])
+def test_span_chooser_takes_one_group_only_on_small_or_skewed_designs(x, one_group):
+    basis = SplineBasis.uniform(x.min(), x.max())
+    counts = np.bincount(basis.segment_index(x), minlength=basis.segments)
+    assert (_choose_span(counts) == basis.segments) == one_group
+
+
+def test_band_and_dual_residual_do_not_depend_on_the_bspline_coordinates():
+    problem = band_problem(uniform_covariate(1000))
+    basis = problem.basis
+    d = np.random.default_rng(2).uniform(0.5, 2.0, basis.segments + 3)
+
+    class Rescaled(SplineBasis):  # coordinates theta / d
+        null_space = basis.null_space * d
+        penalty = d[:, None] * basis.penalty * d
+        noncross = basis.noncross * d
+
+    band = admm_fit(problem)
+    other = admm_fit(dataclasses.replace(problem, AN=problem.AN * d, basis=Rescaled(basis.knots)))
+    for got, want in ((other.upper, band.upper), (other.lower, band.lower)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert other.dual_residual == pytest.approx(band.dual_residual, rel=1e-9, abs=0.0)
+
+
+def test_stage_2_memory_stays_below_a_copy_of_the_dense_design():
+    # at the dense layout, the Fortran copy of [AN; GN] alone took 18.4 MB
+    # and the fit's traced peak 37 MB
+    n = 100_000
+    data = uniform_covariate(n)
+    levels = QuantileLevelSet(np.full(n, 0.25), np.full(n, 0.75))
+    problem = assemble(data, levels, np.ones(n), SplineBasis.uniform(0.0, 10.0), 1e-2)
+    tracemalloc.start()
+    try:
+        admm_fit(problem, iters=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6, peak / 1e6
