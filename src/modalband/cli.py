@@ -60,8 +60,10 @@ def _parse_lambdas(raw: str):
     return values
 
 
-def _basis(args, data: Dataset) -> SplineBasis:
-    """``--segments`` uniform knot intervals over the data's x range."""
+def _basis(args, data: Dataset) -> SplineBasis | None:
+    """``--segments`` uniform knot intervals over x's range, or None for the library's grid."""
+    if args.segments is None:
+        return None
     return SplineBasis.uniform(float(data.x.min()), float(data.x.max()), args.segments)
 
 
@@ -196,8 +198,9 @@ def _add_fit_params(sub, knot_grid: bool = True) -> None:
     sub.add_argument("--alpha", type=float, default=0.5,
                      help="target coverage (default %(default)s)")
     if knot_grid:
-        sub.add_argument("--segments", type=int, default=20,
-                         help="C^2 cubic spline segments (default %(default)s)")
+        sub.add_argument("--segments", type=int, default=None,
+                         help="uniform C^2 cubic spline segments over x's range "
+                              "(default: the library's grid, 20 of them)")
     sub.add_argument("--iters", type=int, default=1000,
                      help="ADMM iterations, always run in full (default %(default)s)")
 

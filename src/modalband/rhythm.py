@@ -71,7 +71,8 @@ def detect_rhythms(curve, window: float = DEFAULT_WINDOW) -> list[RhythmCycle]:
         Rows (x, value) with strictly increasing x, at least 3 rows; x and
         ``window`` share the same unit.
     window : float
-        Dominance span checked before and after each candidate peak.
+        Dominance span checked before and after each candidate peak, closed:
+        one equal to the period finds no cycle on an exactly periodic curve.
 
     Returns
     -------

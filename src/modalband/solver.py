@@ -10,21 +10,21 @@ subject to C^2 continuity at the knots and the segmentwise non-crossing
 condition (G c >= 0).  Continuity holds by construction: each curve is
 P theta, with theta its cubic B-spline coefficients and P the basis's
 ``null_space``, so the program has 2r unknowns instead of 2m (46 instead
-of 160 for 20 segments), and row i of A P holds the B-splines at x_i.
+of 160 for 20 segments), and row i of A P holds the B-splines at x_i:
+like each row of G P, it is stored as its first B-spline and four values.
 The basis builds P, P'Q P and G P once per knot grid; :func:`assemble`
 builds only the data rows, so every fit on a grid shares the rest.
 Splitting with z1 = A P theta and z2 = G P theta gives ADMM updates, at
 step size 1, in which z1 is a componentwise quantile-loss proximal step
 and z2 a projection onto the nonnegative orthant.  The theta-update is an
-unconstrained least-squares problem whose 2r x 2r normal matrix is
-Cholesky-factored and inverted once per fit.  Both z-steps are one clip
-of a single array, so an iteration costs three small matrix products and
-a handful of vector operations.  A design row is zero outside its knot
-segment's four B-splines, so the rows are grouped by runs of ``span``
-segments, touching span + 3 B-splines each, and each design product is
-one stacked product over the groups.  ``span`` minimizes an estimated time
-per iteration; small or skewed designs get one group, the whole design as
-one block.  Only numpy is needed.
+unconstrained least-squares problem whose 2r x 2r normal matrix is summed
+from those rows, then Cholesky-factored and inverted once per fit.  Both
+z-steps are one clip of a single array, so an iteration costs three small
+matrix products and a handful of vector operations.  The rows are grouped
+by runs of ``span`` knot segments, touching span + 3 B-splines each, and
+each design product is one stacked product over the groups.  ``span``
+minimizes an estimated time per iteration; small or skewed designs get one
+group, the whole design as one block.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -54,18 +54,18 @@ class MirProblem:
     """Assembled program for one band fit, in B-spline coordinates theta.
 
     Holds what the data and the penalty decide.  With P = ``basis.null_space``
-    (m x r), both curves share the design ``AN`` = A P (n x r), the B-splines
-    at x; the penalty P'Q P and the non-crossing rows G P on
-    theta_up - theta_low depend on the knot grid alone and are read from
-    ``basis.penalty`` and ``basis.noncross``.  ``p``, ``y`` and ``w`` stack
-    the upper-curve rows first, then the lower.  ``first`` holds each row's
-    first nonzero B-spline, which is its knot segment: row i of ``AN`` is
-    zero outside columns first[i] ... first[i] + 3.  ``empty_segments``
-    counts the knot segments that hold no observation.
+    (m x r), both curves share the design A P (n x r), the B-splines at x.
+    Row i of it is zero outside columns first[i] ... first[i] + 3, where it
+    holds ``values[i]``; ``first`` (n) is each row's knot segment and
+    ``values`` (n x 4) its four B-splines.  The penalty P'Q P and the
+    non-crossing rows G P on theta_up - theta_low depend on the knot grid
+    alone and are read from ``basis.penalty`` and ``basis.noncross``.
+    ``p``, ``y`` and ``w`` stack the upper-curve rows first, then the lower.
+    ``empty_segments`` counts the knot segments that hold no observation.
     """
 
-    AN: np.ndarray
     first: np.ndarray
+    values: np.ndarray
     p: np.ndarray
     y: np.ndarray
     w: np.ndarray
@@ -130,9 +130,9 @@ def assemble(
 ) -> MirProblem:
     """Build the program coupling the two bound curves.
 
-    Stores the single-curve design rows in the basis's B-spline coordinates;
-    the penalty and non-crossing blocks stay on the basis.  Level order
-    matches the stacking: upper-curve levels first, then lower-curve levels.
+    Stores each single-curve design row as its knot segment and its four
+    B-spline values; the penalty and non-crossing blocks stay on the basis.
+    Level order matches the stacking: upper-curve levels first, then lower.
     """
     weights = np.asarray(weights, dtype=float)
     n = len(data)
@@ -146,8 +146,8 @@ def assemble(
 
     seg = basis.segment_index(data.x)  # raises when x leaves the knot range
     return MirProblem(
-        AN=_bspline_rows(basis, seg, data.x - basis.knots[seg]),
         first=seg,
+        values=_bspline_rows(basis, seg, data.x - basis.knots[seg]),
         p=np.concatenate([levels.p_up, levels.p_low]),
         y=np.concatenate([data.y, data.y]),
         w=np.concatenate([weights, weights]),
@@ -186,12 +186,24 @@ def objective(problem: MirProblem, c) -> float:
     T = np.linalg.lstsq(P, C.T, rcond=None)[0].T  # rows theta_up, theta_low
     if np.linalg.norm(C - T @ P.T) > 1e-9 * (1.0 + np.linalg.norm(C)):
         raise ValueError("coefficients are not continuous to the basis's smoothness order")
-    r = problem.y - (T @ problem.AN.T).ravel()
+    r = problem.y - np.sum(T[:, problem.first[:, None] + np.arange(4)] * problem.values, 2).ravel()
     penalty = np.sum(T @ problem.basis.penalty * T)
     return float(problem.w @ quantile_loss(r, problem.p) + problem.lam * penalty)
 
 
 _NONCROSS_GRID = 1001
+
+
+def _gram(first, values, r: int) -> np.ndarray:
+    """The r x r sum of a a' over rows a that hold ``values`` at columns first
+    ... first + 3 and are zero elsewhere; summed per diagonal, in O(rows) scratch."""
+    gram = np.zeros((r, r))
+    for d in range(4):
+        diagonal = sum(np.bincount(first + k, values[:, k] * values[:, k + d], minlength=r - d)
+                       for k in range(4 - d))
+        i = np.arange(r - d)
+        gram[i, i + d] = gram[i + d, i] = diagonal
+    return gram
 
 
 def _rank_deficient(problem: MirProblem, reason: str, penalty, data) -> ValueError:
@@ -248,10 +260,9 @@ def _grouped_rows(problem: MirProblem, span: int):
     the span + 3 B-splines k span ... k span + span + 2.  Returns the design
     D, (groups, span + 3, slots), one row per slot stored as a column, and
     y, lo and hi, (groups, 2, slots).  A padding slot has a zero design and
-    y = lo = hi = 0.  With one group, D[0] is [AN; GN]' in row order.
+    y = lo = hi = 0.  Each row's four values fill its slot; one group's D[0] is [A P; G P]'.
     """
-    AN, GN, n = problem.AN, problem.basis.noncross, problem.n
-    segments = problem.basis.segments
+    n, segments = problem.n, problem.basis.segments
     groups = -(-segments // span)
     group = problem.first // span
     counts = np.bincount(group, minlength=groups)
@@ -262,27 +273,18 @@ def _grouped_rows(problem: MirProblem, span: int):
     slot[np.argsort(group, kind="stable")] = np.arange(n) - np.repeat(starts, counts)
 
     y, lo, hi = (np.zeros((groups, 2, slots)) for _ in range(3))
-    at = group * 2 * slots + slot  # flat index of each loss row on curve 0
-    at = np.concatenate([at, at + slots])  # then on curve 1, stacked as y, p and w are
-    np.put(y, at, problem.y)
-    np.put(lo, at, -((1.0 - problem.p) * problem.w))
-    np.put(hi, at, problem.p * problem.w)
+    y[group, :, slot] = problem.y.reshape(2, n).T  # stacked curve by curve
+    lo[group, :, slot] = -((1.0 - problem.p) * problem.w).reshape(2, n).T
+    hi[group, :, slot] = (problem.p * problem.w).reshape(2, n).T
     hi[:, 0, tail:] = np.inf
 
-    # the loss rows, then segment j's 4 non-crossing rows, which sit
-    # 4 (j - k span) slots into group k's tail
-    seg = np.repeat(np.arange(segments), 4)
-    rows_first = np.concatenate([problem.first, seg])
-    rows_group = rows_first // span
-    rows_slot = np.concatenate([slot, tail + np.arange(4 * segments) - 4 * span * rows_group[n:]])
     four = np.arange(4)
-    values = np.concatenate([  # each row's B-splines first ... first + 3
-        np.take(AN, (np.arange(n) * AN.shape[1] + problem.first)[:, None] + four),
-        np.take(GN, (np.arange(4 * segments) * GN.shape[1] + seg)[:, None] + four)])
-    # flat index in D of each row's B-spline rows_first, then + slots per next one
-    at = (rows_group * (span + 3) + rows_first - span * rows_group) * slots + rows_slot
     D = np.zeros((groups, span + 3, slots))
-    np.put(D, at[:, None] + slots * four, values)
+    D[group[:, None], problem.first[:, None] % span + four, slot[:, None]] = problem.values
+    # segment j's 4 non-crossing rows sit 4 (j % span) slots into group j // span's tail
+    rows = np.arange(4 * segments)[:, None]
+    j = rows // 4
+    D[j // span, j % span + four, tail + rows % (4 * span)] = problem.basis.noncross
     return D, y, lo, hi
 
 
@@ -312,12 +314,11 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
         grid check of the non-crossing constraint.
     """
     _check_iters(iters)
-    AN, GN = problem.AN, problem.basis.noncross
-    r = AN.shape[1]
-    G = np.hstack([GN, -GN])  # non-crossing rows on theta_up - theta_low
-
-    penalty, data = 2.0 * problem.lam * problem.basis.penalty, AN.T @ AN
-    M = np.kron(np.eye(2), penalty + data) + G.T @ G
+    basis = problem.basis
+    r = basis.segments + 3
+    penalty, data = 2.0 * problem.lam * basis.penalty, _gram(problem.first, problem.values, r)
+    noncross = _gram(np.arange(basis.size) // 4, basis.noncross, r)  # on theta_up - theta_low
+    M = np.kron(np.eye(2), penalty + data) + np.kron([[1.0, -1.0], [-1.0, 1.0]], noncross)
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
@@ -339,7 +340,7 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     # Theta sits in a zero-padded (2, groups span + 3) buffer; group k reads
     # the window k span ... k span + span + 2 of it, and M_inv's columns are
     # gathered so that one GEMV both sums the groups' products and solves.
-    span = _choose_span(np.bincount(problem.first, minlength=problem.basis.segments))
+    span = _choose_span(np.bincount(problem.first, minlength=basis.segments))
     D, y, lo, hi = _grouped_rows(problem, span)
     groups, _, slots = y.shape
     tail, width = slots - 4 * span, groups * span + 3
@@ -384,7 +385,7 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
 
     # primal: A theta - z = u - u_prev; dual: A'(z - z_prev), G rows
     # included, taken to coefficients P theta and projected onto range(P)
-    P = problem.basis.null_space
+    P = basis.null_space
     primal = np.linalg.norm(C_prev - C)
     dz = (W - C) - (W_prev - C_prev)
     dz[..., 1, tail:] = -dz[..., 0, tail:]
@@ -394,8 +395,8 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
         raise RuntimeError(f"non-finite iterates after {iters} iterations")
 
     upper, lower = P @ T[0, :r], P @ T[1, :r]
-    grid = np.linspace(problem.basis.knots[0], problem.basis.knots[-1], _NONCROSS_GRID)
-    gap = eval_spline(upper, problem.basis, grid) - eval_spline(lower, problem.basis, grid)
+    grid = np.linspace(basis.knots[0], basis.knots[-1], _NONCROSS_GRID)
+    gap = eval_spline(upper, basis, grid) - eval_spline(lower, basis, grid)
     violation = float(max(0.0, -gap.min()))
     if violation > 1e-6:
         warnings.warn(
@@ -407,7 +408,7 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     return FittedBand(
         upper=upper,
         lower=lower,
-        basis=problem.basis,
+        basis=basis,
         iterations=iters,
         primal_residual=float(primal),
         dual_residual=float(dual),

@@ -14,6 +14,8 @@ condition for nonnegativity of a cubic on its segment, and the power-form
 design and continuity rows that the map is checked against.  The basis
 keeps the penalty and non-crossing rows in B-spline coordinates, P'QP and
 GP, which depend on the knot grid alone, so every fit on a grid shares them.
+A row of GP, like a point's B-splines, is stored as its first B-spline and
+its four nonzero values.
 """
 
 from __future__ import annotations
@@ -26,13 +28,16 @@ import numpy as np
 
 __all__ = [
     "SplineBasis",
-    "bspline_matrix",
     "design_matrix",
     "continuity_matrix",
     "penalty_matrix",
     "noncross_matrix",
     "eval_spline",
 ]
+
+
+# one cubic segment's rows of ``noncross_matrix``: (3-k)! / ((3-g)! (g-k)!), k <= g
+_BERNSTEIN = np.array([[1, 0, 0, 0], [3, 1, 0, 0], [3, 2, 1, 0], [1, 1, 1, 1]], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity, like null_space's cache
@@ -94,9 +99,11 @@ class SplineBasis:
         powers, spanning null(continuity_matrix): per segment, the 4 x 4 Vandermonde
         solve of its B-splines at t = 0, 1/3, 2/3, 1.  Read-only, as every fit shares it."""
         b, t = self.segments, np.linspace(0.0, 1.0, 4)
-        rows = _bspline_rows(self, np.repeat(np.arange(b), 4), (self.widths[:, None] * t).ravel())
-        P = np.linalg.solve(np.vander(t, 4, increasing=True), rows.reshape(b, 4, b + 3))
-        P = P.reshape(self.size, b + 3)
+        B = _bspline_rows(self, np.repeat(np.arange(b), 4), (self.widths[:, None] * t).ravel())
+        rows = np.arange(self.size)[:, None]  # segment j's rows sit at B-splines j ... j + 3
+        P = np.zeros((self.size, b + 3))
+        P[rows, rows // 4 + np.arange(4)] = np.linalg.solve(
+            np.vander(t, 4, increasing=True), B.reshape(b, 4, 4)).reshape(self.size, 4)
         P.setflags(write=False)
         return P
 
@@ -111,16 +118,19 @@ class SplineBasis:
 
     @cached_property
     def noncross(self) -> np.ndarray:
-        """GP (size x segments + 3): ``noncross_matrix`` in B-spline coordinates.
-        Read-only, built once like ``null_space``."""
-        GN = noncross_matrix(self) @ self.null_space
+        """GP, ``noncross_matrix`` in B-spline coordinates, as each row's four
+        nonzeros (size x 4): segment j's, _BERNSTEIN times P's block, sit at
+        B-splines j ... j + 3.  Read-only, built once like ``null_space``."""
+        rows = np.arange(self.size)[:, None]
+        blocks = self.null_space[rows, rows // 4 + np.arange(4)].reshape(self.segments, 4, 4)
+        GN = (_BERNSTEIN @ blocks).reshape(self.size, 4)
         GN.setflags(write=False)
         return GN
 
 
 def _bspline_rows(basis: SplineBasis, seg: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The segments + 3 cubic B-splines on the clamped knot vector at offset
-    u into segment ``seg``, by de Boor's recursion; four per row are nonzero."""
+    """The four cubic B-splines seg ... seg + 3 on the clamped knot vector, the
+    nonzero ones, at offset u into segment ``seg``, by de Boor's recursion."""
     tau = np.pad(basis.knots, 3, mode="edge")
     k = np.arange(1, 4)[:, None]
     start = basis.knots[seg]  # tau[mu], with x = start + u in [tau[mu], tau[mu + 1]]
@@ -135,16 +145,7 @@ def _bspline_rows(basis: SplineBasis, seg: np.ndarray, u: np.ndarray) -> np.ndar
             values[r] = saved + right[r] * term
             saved = left[d - 1 - r] * term
         values[d] = saved
-    rows = np.zeros((u.size, basis.segments + 3))
-    np.put_along_axis(rows, seg[:, None] + np.arange(4), values.T, axis=1)
-    return rows
-
-
-def bspline_matrix(x, basis: SplineBasis) -> np.ndarray:
-    """B-spline rows: row k dotted with B-spline coefficients gives the spline at x[k]."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    seg = basis.segment_index(x)
-    return _bspline_rows(basis, seg, x - basis.knots[seg])
+    return values.T
 
 
 def design_matrix(x, basis: SplineBasis) -> np.ndarray:
@@ -213,10 +214,7 @@ def noncross_matrix(basis: SplineBasis) -> np.ndarray:
     to the difference of two coefficient vectors it keeps one spline above
     the other.
     """
-    d = basis.degree
-    block = [[factorial(d - k) / (factorial(d - g) * factorial(g - k)) if k <= g else 0.0
-              for k in range(d + 1)] for g in range(d + 1)]
-    return np.kron(np.eye(basis.segments), block)
+    return np.kron(np.eye(basis.segments), _BERNSTEIN)
 
 
 def eval_spline(coeffs, basis: SplineBasis, x):

@@ -1,4 +1,5 @@
-"""Shared fixtures: the heavyweight simulation runs used by several tests.
+"""Shared fixtures: the heavyweight simulation runs used by several tests,
+and the dense form of stage 2's four-value rows.
 
 The session-scoped fixtures below are lazy; they only execute when a test
 that requests them is selected, so ``-m "not slow"`` keeps the suite fast.
@@ -9,9 +10,11 @@ the terminal-summary hook prints them at the end of the run.
 import functools
 import time
 
+import numpy as np
 import pytest
 
 from modalband.simulate import SimConfig, run_experiment
+from modalband.spline import _bspline_rows
 
 ACCEPTANCE_LINES = []
 
@@ -21,6 +24,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def dense_rows(first, values, columns):
+    """The dense rows that are zero outside columns first ... first + 3, where
+    they hold the four ``values``."""
+    rows = np.zeros((len(first), columns))
+    np.put_along_axis(rows, np.asarray(first)[:, None] + np.arange(4), values, axis=1)
+    return rows
+
+
+def bspline_rows(x, basis):
+    """The segments + 3 cubic B-splines at each x, as dense rows."""
+    x = np.asarray(x, dtype=float)
+    seg = basis.segment_index(x)
+    return dense_rows(seg, _bspline_rows(basis, seg, x - basis.knots[seg]), basis.segments + 3)
 
 
 def rows_by_lambda(rows, method):

@@ -154,6 +154,16 @@ def test_a_higher_value_exactly_one_window_away_disqualifies_the_peak(offset, cy
         assert (found[0].trough1_x, found[0].peak_x, found[0].trough2_x) == (1.0, 2.0, 3.0)
 
 
+def test_a_window_equal_to_the_period_finds_no_cycle_on_an_exactly_periodic_curve():
+    # the closed window reaches the next and the previous peak, which tie
+    x = np.arange(241.0)
+    curve = np.column_stack([x, np.exp(1.0 + 0.3 * np.sin(2.0 * np.pi * x / 24.0))])
+    assert detect_rhythms(curve, window=24.0) == []
+    found = detect_rhythms(curve, window=23.0)
+    assert [cycle.peak_x for cycle in found] == list(range(30, 223, 24))
+    assert all(cycle.classification == "significant" for cycle in found)
+
+
 def test_period_property():
     cycle = RhythmCycle(trough1_x=21.0, peak_x=35.0, trough2_x=49.0,
                         ratio1=3.0, ratio2=3.0, classification="significant")

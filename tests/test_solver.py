@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import conftest
 from modalband import pipeline, solver
 from modalband.intervals import QuantileLevelSet, _capped_source, estimate_intervals_at
 from modalband.kde import Dataset, conditional_cdf
@@ -15,6 +16,7 @@ from modalband.pipeline import fit_band, run_step1, run_step2
 from modalband.simulate import gen_dist1
 from modalband.solver import (
     _choose_span,
+    _gram,
     admm_fit,
     assemble,
     objective,
@@ -23,7 +25,6 @@ from modalband.solver import (
 )
 from modalband.spline import (
     SplineBasis,
-    bspline_matrix,
     continuity_matrix,
     design_matrix,
     eval_spline,
@@ -45,15 +46,17 @@ def small_problem(n=3, lam=1e-2):
 
 def test_assemble_block_shapes():
     problem, data, levels, basis = small_problem()
-    assert problem.AN.shape == (3, 5)
+    assert problem.values.shape == (3, 4)
     assert basis.penalty.shape == (5, 5)
-    assert basis.noncross.shape == (8, 5)
+    assert basis.noncross.shape == (8, 4)
     assert basis.null_space.shape == (8, 5)
-    # the grid-only blocks live on the basis, not on each program
-    for name in ("A", "N", "QN", "GN"):
+    # the grid-only blocks live on the basis, not on each program, and no
+    # row is stored densely
+    for name in ("A", "N", "AN", "QN", "GN"):
         assert not hasattr(problem, name)
-    assert np.array_equal(problem.AN, bspline_matrix(data.x, basis))
-    assert np.allclose(problem.AN, design_matrix(data.x, basis) @ basis.null_space,
+    AN = conftest.dense_rows(problem.first, problem.values, 5)
+    assert np.array_equal(AN, conftest.bspline_rows(data.x, basis))
+    assert np.allclose(AN, design_matrix(data.x, basis) @ basis.null_space,
                        rtol=0.0, atol=1e-14)
     assert problem.n == 3
     assert np.array_equal(problem.first, basis.segment_index(data.x))
@@ -72,10 +75,12 @@ def test_assemble_blocks_match_single_curve_matrices():
         P = basis.null_space
         dim = 4 * segments - 3 * (segments - 1)
         assert P.shape == (basis.size, dim) == (basis.size, segments + 3)
-        assert np.allclose(problem.AN, design_matrix(data.x, basis) @ P, rtol=0.0, atol=1e-14)
+        AN = conftest.dense_rows(problem.first, problem.values, segments + 3)
+        assert np.allclose(AN, design_matrix(data.x, basis) @ P, rtol=0.0, atol=1e-14)
         assert problem.basis is basis
         assert np.array_equal(basis.penalty, P.T @ penalty_matrix(basis) @ P)
-        assert np.array_equal(basis.noncross, noncross_matrix(basis) @ P)
+        GN = conftest.dense_rows(np.arange(basis.size) // 4, basis.noncross, segments + 3)
+        assert np.array_equal(GN, noncross_matrix(basis) @ P)
         assert np.max(np.abs(continuity_matrix(basis) @ P), initial=0.0) <= 1e-12
 
 
@@ -89,7 +94,8 @@ def test_assemble_design_evaluates_both_curves():
     A = design_matrix(data.x, basis)
     assert np.allclose(A @ upper, eval_spline(upper, basis, data.x), atol=1e-14)
     assert np.allclose(A @ lower, eval_spline(lower, basis, data.x), atol=1e-14)
-    assert np.allclose(problem.AN @ theta_up, A @ upper, atol=1e-14)
+    AN = conftest.dense_rows(problem.first, problem.values, 5)
+    assert np.allclose(AN @ theta_up, A @ upper, atol=1e-14)
     # the objective pairs the upper curve with p_up and the lower with p_low
     loss = (quantile_loss(data.y - eval_spline(upper, basis, data.x), levels.p_up).sum()
             + quantile_loss(data.y - eval_spline(lower, basis, data.x), levels.p_low).sum())
@@ -525,14 +531,18 @@ def test_null_space_admm_matches_kkt_form():
 
 def dense_admm_reference(problem, iters=1000):
     """Stage 2's ADMM loop on one dense (2, n + m) layout over E = [AN; GN],
-    before the rows were grouped by knot segments; returns both curves'
-    coefficients and the last iterate's primal residual norm."""
-    AN, GN = problem.AN, problem.basis.noncross
-    n, r = AN.shape
-    m = GN.shape[0]
-    G = np.hstack([GN, -GN])
-    M = (np.kron(np.eye(2), 2.0 * problem.lam * problem.basis.penalty + AN.T @ AN)
-         + G.T @ G)
+    before the rows were grouped by knot segments, with the normal matrix
+    summed by the solver's ``_gram``; returns both curves' coefficients and
+    the last iterate's primal residual norm."""
+    basis = problem.basis
+    r = basis.segments + 3
+    noncross_first = np.arange(basis.size) // 4
+    AN = conftest.dense_rows(problem.first, problem.values, r)
+    GN = conftest.dense_rows(noncross_first, basis.noncross, r)
+    n, m = len(AN), len(GN)
+    M = (np.kron(np.eye(2), 2.0 * problem.lam * basis.penalty
+                 + _gram(problem.first, problem.values, r))
+         + np.kron([[1.0, -1.0], [-1.0, 1.0]], _gram(noncross_first, basis.noncross, r)))
     L_inv = np.linalg.inv(np.linalg.cholesky(M))
     M_inv = L_inv.T @ L_inv
     E = np.asfortranarray(np.vstack([AN, GN]))
@@ -637,13 +647,16 @@ def test_band_and_dual_residual_do_not_depend_on_the_bspline_coordinates():
     basis = problem.basis
     d = np.random.default_rng(2).uniform(0.5, 2.0, basis.segments + 3)
 
+    four = np.arange(4)
+
     class Rescaled(SplineBasis):  # coordinates theta / d
         null_space = basis.null_space * d
         penalty = d[:, None] * basis.penalty * d
-        noncross = basis.noncross * d
+        noncross = basis.noncross * d[np.arange(basis.size)[:, None] // 4 + four]
 
     band = admm_fit(problem)
-    other = admm_fit(dataclasses.replace(problem, AN=problem.AN * d, basis=Rescaled(basis.knots)))
+    values = problem.values * d[problem.first[:, None] + four]
+    other = admm_fit(dataclasses.replace(problem, values=values, basis=Rescaled(basis.knots)))
     for got, want in ((other.upper, band.upper), (other.lower, band.lower)):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     assert other.dual_residual == pytest.approx(band.dual_residual, rel=1e-9, abs=0.0)
@@ -663,3 +676,47 @@ def test_stage_2_memory_stays_below_a_copy_of_the_dense_design():
     finally:
         tracemalloc.stop()
     assert peak <= 32e6, peak / 1e6
+
+
+@pytest.mark.parametrize("segments", [1, 2, 7, 20, 480])
+def test_banded_gram_matches_the_dense_products(segments):
+    data = uniform_covariate(1000)
+    basis = SplineBasis.uniform(0.0, 10.0, segments)
+    problem = band_problem(data, basis)
+    P = basis.null_space
+    A = design_matrix(data.x, basis) @ P
+    G = noncross_matrix(basis) @ P
+    for got, want in ((_gram(problem.first, problem.values, segments + 3), A.T @ A),
+                      (_gram(np.arange(basis.size) // 4, basis.noncross, segments + 3), G.T @ G)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_assemble_stores_each_row_once():
+    # with the dense n x 23 design in the program, the traced peak read 34.5 MB
+    n = 100_000
+    data = uniform_covariate(n)
+    levels = QuantileLevelSet(np.full(n, 0.25), np.full(n, 0.75))
+    weights = np.ones(n)
+    basis = SplineBasis.uniform(0.0, 10.0)
+    tracemalloc.start()
+    try:
+        assemble(data, levels, weights, basis, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, peak / 1e6
+
+
+@pytest.mark.parametrize("data, lam", [
+    (gen_dist1(1000, 0), 1e-2),
+    (hourly(2), 0.1),
+], ids=["dist1-n1000", "hourly-x2"])
+def test_band_does_not_depend_on_the_order_of_the_observations(data, lam):
+    # both n <= 1 000, so stage 1 draws no subsample
+    band, step1 = fit_band(data, lam=lam)
+    for seed in range(3):
+        order = np.random.default_rng(seed).permutation(len(data))
+        other, other_step1 = fit_band(Dataset(data.x[order], data.y[order]), lam=lam)
+        assert other_step1.bandwidth == step1.bandwidth
+        for got, want in ((other.upper, band.upper), (other.lower, band.lower)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), seed

@@ -4,9 +4,9 @@ non-crossing rows."""
 import numpy as np
 import pytest
 
+import conftest
 from modalband.spline import (
     SplineBasis,
-    bspline_matrix,
     continuity_matrix,
     design_matrix,
     eval_spline,
@@ -117,7 +117,7 @@ def test_design_row_rejects_out_of_range():
     with pytest.raises(ValueError, match="outside the knot range"):
         design_matrix([1.5], basis)
     with pytest.raises(ValueError, match="outside the knot range"):
-        bspline_matrix([-0.5], basis)
+        basis.segment_index([-0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def test_bspline_rows_match_scipy():
         basis = wide_basis(rng)
         knots = basis.knots
         x = np.concatenate([rng.uniform(knots[0], knots[-1], 100), knots])
-        rows = bspline_matrix(x, basis)
+        rows = conftest.bspline_rows(x, basis)
         clamped = np.concatenate([[knots[0]] * 3, knots, [knots[-1]] * 3])
         expected = interpolate.BSpline(clamped, np.eye(basis.segments + 3), 3)(x)
         assert np.max(np.abs(rows - expected)) <= 1e-14
@@ -154,7 +154,7 @@ def test_null_space_maps_bsplines_to_local_powers():
             assert np.max(np.abs(H @ P).max(axis=1) / scale) <= 1e-12
         # P's powers evaluate to the B-splines themselves
         x = rng.uniform(basis.knots[0], basis.knots[-1], 100)
-        assert np.max(np.abs(design_matrix(x, basis) @ P - bspline_matrix(x, basis))) <= 1e-12
+        assert np.max(np.abs(design_matrix(x, basis) @ P - conftest.bspline_rows(x, basis))) <= 1e-12
 
 
 def test_null_space_spans_the_continuity_null_space():
@@ -208,14 +208,16 @@ def test_null_space_is_built_once_and_read_only(grid_builds):
     assert basis.null_space is P
     assert grid_builds["null_space"] == [basis]
     assert P.shape == (20, 5 + 3)
-    # the penalty and non-crossing rows in B-spline coordinates, by the same
-    # expressions, so they keep every bit; each reuses the one map
+    # the penalty and non-crossing rows in B-spline coordinates; each reuses
+    # the one map, and GP keeps the four nonzeros of each row, which sit at
+    # B-splines j ... j + 3 on segment j
     QN, GN = basis.penalty, basis.noncross
     assert basis.penalty is QN and basis.noncross is GN
     assert grid_builds == {"null_space": [basis], "penalty": [basis], "noncross": [basis]}
     assert np.array_equal(QN, P.T @ penalty_matrix(basis) @ P)
-    assert np.array_equal(GN, noncross_matrix(basis) @ P)
-    assert QN.shape == (5 + 3, 5 + 3) and GN.shape == (20, 5 + 3)
+    assert np.array_equal(conftest.dense_rows(np.arange(20) // 4, GN, 5 + 3),
+                          noncross_matrix(basis) @ P)
+    assert QN.shape == (5 + 3, 5 + 3) and GN.shape == (20, 4)
     for matrix in (P, QN, GN):
         assert not matrix.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
