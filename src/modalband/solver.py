@@ -8,12 +8,12 @@ per-observation levels plus a curvature penalty,
 
 subject to C^2 continuity at the knots and the segmentwise non-crossing
 condition (G c >= 0).  Continuity holds by construction: each curve is
-P theta, with theta its cubic B-spline coefficients and P the basis's
-``null_space``, so the program has 2r unknowns instead of 2m (46 instead
-of 160 for 20 segments), and row i of A P holds the B-splines at x_i:
-like each row of G P, it is stored as its first B-spline and four values.
-The basis builds P, P'Q P and G P once per knot grid; :func:`assemble`
-builds only the data rows, so every fit on a grid shares the rest.
+P theta, with theta its cubic B-spline coefficients and P, never formed,
+the map of the basis's 4 x 4 ``blocks``, so the program has 2r unknowns
+instead of 2m (46 instead of 160 for 20 segments), and row i of A P holds
+the B-splines at x_i: like each row of G P, it is stored as its first
+B-spline and four values.  The basis builds P'Q P and G P once per knot grid;
+:func:`assemble` builds only the data rows, so every fit on a grid shares the rest.
 Splitting with z1 = A P theta and z2 = G P theta gives ADMM updates, at
 step size 1, in which z1 is a componentwise quantile-loss proximal step
 and z2 a projection onto the nonnegative orthant.  The theta-update is an
@@ -36,7 +36,7 @@ import numpy as np
 
 from .intervals import QuantileLevelSet
 from .kde import Dataset
-from .spline import SplineBasis, _bspline_rows, eval_spline
+from .spline import SplineBasis, _bspline_rows, _gram, eval_spline
 
 __all__ = [
     "MirProblem",
@@ -53,8 +53,8 @@ __all__ = [
 class MirProblem:
     """Assembled program for one band fit, in B-spline coordinates theta.
 
-    Holds what the data and the penalty decide.  With P = ``basis.null_space``
-    (m x r), both curves share the design A P (n x r), the B-splines at x.
+    Holds what the data and the penalty decide.  With P (m x r) the map of
+    ``basis.blocks``, both curves share the design A P (n x r), the B-splines at x.
     Row i of it is zero outside columns first[i] ... first[i] + 3, where it
     holds ``values[i]``; ``first`` (n) is each row's knot segment and
     ``values`` (n x 4) its four B-splines.  The penalty P'Q P and the
@@ -179,12 +179,14 @@ def prox_quantile_loss(z, p, y, w, gamma):
 
 def objective(problem: MirProblem, c) -> float:
     """Penalized quantile-loss objective at stacked coefficients (c_up, c_low), evaluated
-    at theta solving P theta = c in least squares; refused when that leaves a
-    residual above 1e-9 (1 + ||c||)."""
-    C = np.asarray(c, dtype=float).reshape(2, -1)
-    P = problem.basis.null_space
-    T = np.linalg.lstsq(P, C.T, rcond=None)[0].T  # rows theta_up, theta_low
-    if np.linalg.norm(C - T @ P.T) > 1e-9 * (1.0 + np.linalg.norm(C)):
+    at theta read off the blocks, theta_j ... theta_j+3 = P_j^-1 c_j; refused when
+    P theta leaves a residual above 1e-9 (1 + ||c||)."""
+    blocks = problem.basis.blocks
+    C = np.asarray(c, dtype=float).reshape(2, len(blocks), 4, 1)
+    local = np.linalg.solve(blocks, C)[..., 0]  # theta_j ... theta_j+3 per segment
+    T = np.concatenate([local[:, :, 0], local[:, -1, 1:]], axis=1)  # rows theta_up, theta_low
+    window = np.arange(len(blocks))[:, None] + np.arange(4)
+    if np.linalg.norm(C - blocks @ T[:, window, None]) > 1e-9 * (1.0 + np.linalg.norm(C)):
         raise ValueError("coefficients are not continuous to the basis's smoothness order")
     r = problem.y - np.sum(T[:, problem.first[:, None] + np.arange(4)] * problem.values, 2).ravel()
     penalty = np.sum(T @ problem.basis.penalty * T)
@@ -194,23 +196,11 @@ def objective(problem: MirProblem, c) -> float:
 _NONCROSS_GRID = 1001
 
 
-def _gram(first, values, r: int) -> np.ndarray:
-    """The r x r sum of a a' over rows a that hold ``values`` at columns first
-    ... first + 3 and are zero elsewhere; summed per diagonal, in O(rows) scratch."""
-    gram = np.zeros((r, r))
-    for d in range(4):
-        diagonal = sum(np.bincount(first + k, values[:, k] * values[:, k + d], minlength=r - d)
-                       for k in range(4 - d))
-        i = np.arange(r - d)
-        gram[i, i + d] = gram[i + d, i] = diagonal
-    return gram
-
-
-def _rank_deficient(problem: MirProblem, reason: str, penalty, data) -> ValueError:
-    """The refusal of a singular normal matrix, naming its cause: knot
-    segments that hold no observation, or else a penalty term 2 lam P'QP
+def _rank_deficient(problem: MirProblem, reason: str, data) -> ValueError:
+    """The refusal of a singular or non-finite normal matrix, naming its cause:
+    knot segments that hold no observation, or else a penalty term 2 lam P'QP
     that outweighs the data term A'A (it grows as x's unit shrinks, cubed)."""
-    ratio = np.abs(penalty).max() / np.abs(data).max()
+    ratio = 2.0 * problem.lam * float(np.abs(problem.basis.penalty).max()) / np.abs(data).max()
     if problem.empty_segments or not ratio > 1.0:
         cause = (f"{problem.empty_segments} of {problem.basis.segments} knot segments "
                  "hold no observation")
@@ -316,16 +306,17 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     _check_iters(iters)
     basis = problem.basis
     r = basis.segments + 3
-    penalty, data = 2.0 * problem.lam * basis.penalty, _gram(problem.first, problem.values, r)
-    noncross = _gram(np.arange(basis.size) // 4, basis.noncross, r)  # on theta_up - theta_low
-    M = np.kron(np.eye(2), penalty + data) + np.kron([[1.0, -1.0], [-1.0, 1.0]], noncross)
+    data = _gram(problem.first, problem.values, r)
+    with np.errstate(over="ignore", invalid="ignore"):  # a penalty that overflows: refused below
+        M = np.kron(np.eye(2), 2.0 * problem.lam * basis.penalty + data) + np.kron(
+            [[1.0, -1.0], [-1.0, 1.0]], _gram(np.arange(basis.size) // 4, basis.noncross, r))
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
-        raise _rank_deficient(problem, str(exc), penalty, data) from exc
+        raise _rank_deficient(problem, str(exc), data) from exc
     pivots = np.diag(L) ** 2
-    if pivots.min() <= pivots.max() * 1e-13:
-        raise _rank_deficient(problem, "singular normal matrix", penalty, data)
+    if not pivots.min() > pivots.max() * 1e-13:  # True for NaN
+        raise _rank_deficient(problem, "singular normal matrix", data)
     L_inv = np.linalg.inv(L)
     M_inv = L_inv.T @ L_inv
 
@@ -383,18 +374,19 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
         W += C
         np.negative(q_up, out=q_low)
 
-    # primal: A theta - z = u - u_prev; dual: A'(z - z_prev), G rows
-    # included, taken to coefficients P theta and projected onto range(P)
-    P = basis.null_space
+    # primal: A theta - z = u - u_prev; dual: g = A'(z - z_prev), G rows included,
+    # taken to coefficients and projected onto range(P), ||P (P'P)^-1 g|| = sqrt(g' (P'P)^-1 g)
     primal = np.linalg.norm(C_prev - C)
     dz = (W - C) - (W_prev - C_prev)
     dz[..., 1, tail:] = -dz[..., 0, tail:]
-    g = np.bincount(cols, np.matmul(dz, Dt).ravel(), minlength=2 * width)
-    dual = np.linalg.norm(P @ np.linalg.solve(P.T @ P, g.reshape(2, width)[:, :r].T))
+    g = np.bincount(cols, np.matmul(dz, Dt).ravel(), minlength=2 * width).reshape(2, width)[:, :r]
+    PtP = _gram(np.arange(basis.size) // 4, basis.blocks.reshape(-1, 4), r)
+    dual = np.sqrt(np.sum(g.T * np.linalg.solve(PtP, g.T)))
     if not (np.all(np.isfinite(T)) and np.isfinite(primal) and np.isfinite(dual)):
         raise RuntimeError(f"non-finite iterates after {iters} iterations")
 
-    upper, lower = P @ T[0, :r], P @ T[1, :r]
+    window = np.arange(basis.segments)[:, None] + np.arange(4)
+    upper, lower = (basis.blocks @ T[:, window, None]).reshape(2, basis.size)
     grid = np.linspace(basis.knots[0], basis.knots[-1], _NONCROSS_GRID)
     gap = eval_spline(upper, basis, grid) - eval_spline(lower, basis, grid)
     violation = float(max(0.0, -gap.min()))

@@ -7,15 +7,16 @@ A spline on knots xi_0 < ... < xi_b is stored segment-major: segment j
 
 Segments are right-closed: a knot belongs to the segment ending at it,
 except xi_0 which belongs to the first segment.  The fit's unknowns are
-the b + 3 cubic B-spline coefficients on the clamped knot vector, which
-``SplineBasis.null_space`` maps to segment-local powers.  This module also
-builds the exact curvature penalty integral, a per-segment sufficient
-condition for nonnegativity of a cubic on its segment, and the power-form
-design and continuity rows that the map is checked against.  The basis
-keeps the penalty and non-crossing rows in B-spline coordinates, P'QP and
-GP, which depend on the knot grid alone, so every fit on a grid shares them.
-A row of GP, like a point's B-splines, is stored as its first B-spline and
-its four nonzero values.
+the b + 3 cubic B-spline coefficients on the clamped knot vector; segment
+j's local powers are the 4 x 4 block ``SplineBasis.blocks[j]`` times
+coefficients j ... j + 3.  This module also builds the exact curvature
+penalty integral, a per-segment sufficient condition for nonnegativity of
+a cubic on its segment, and the power-form design and continuity rows that
+the blocks are checked against.  From the blocks the basis builds the
+penalty and non-crossing rows in B-spline coordinates, P'QP and GP, which
+every fit on the grid shares: a row of GP, like a point's B-splines, is
+stored as its first B-spline and four values, and P'QP is the Gram of two
+such curvature rows per segment.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ __all__ = [
 _BERNSTEIN = np.array([[1, 0, 0, 0], [3, 1, 0, 0], [3, 2, 1, 0], [1, 1, 1, 1]], dtype=float)
 
 
-@dataclass(frozen=True, eq=False)  # compared and hashed by identity, like null_space's cache
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, like its cached blocks
 class SplineBasis:
-    """Knot grid of C^2 cubic splines; owns its B-spline map and the stage-2
+    """Knot grid of C^2 cubic splines; owns its B-spline blocks and the stage-2
     penalty and non-crossing rows in B-spline coordinates, each built once."""
 
     knots: np.ndarray
@@ -94,38 +95,45 @@ class SplineBasis:
         return np.maximum(idx, 0)
 
     @cached_property
-    def null_space(self) -> np.ndarray:
-        """The map P (size x segments + 3) from B-spline coefficients to segment-local
-        powers, spanning null(continuity_matrix): per segment, the 4 x 4 Vandermonde
-        solve of its B-splines at t = 0, 1/3, 2/3, 1.  Read-only, as every fit shares it."""
+    def blocks(self) -> np.ndarray:
+        """The (segments, 4, 4) blocks P_j: segment j's local powers are P_j times
+        B-spline coefficients j ... j + 3.  Per segment, the 4 x 4 Vandermonde solve
+        of its B-splines at t = 0, 1/3, 2/3, 1.  Read-only, as every fit shares them."""
         b, t = self.segments, np.linspace(0.0, 1.0, 4)
         B = _bspline_rows(self, np.repeat(np.arange(b), 4), (self.widths[:, None] * t).ravel())
-        rows = np.arange(self.size)[:, None]  # segment j's rows sit at B-splines j ... j + 3
-        P = np.zeros((self.size, b + 3))
-        P[rows, rows // 4 + np.arange(4)] = np.linalg.solve(
-            np.vander(t, 4, increasing=True), B.reshape(b, 4, 4)).reshape(self.size, 4)
+        P = np.linalg.solve(np.vander(t, 4, increasing=True), B.reshape(b, 4, 4))
         P.setflags(write=False)
         return P
 
     @cached_property
     def penalty(self) -> np.ndarray:
-        """P'QP (segments + 3 square): ``penalty_matrix`` in B-spline coordinates.
-        Read-only, built once like ``null_space``."""
-        P = self.null_space
-        QN = P.T @ penalty_matrix(self) @ P
+        """P'QP (segments + 3 square), ``penalty_matrix`` in B-spline coordinates: the Gram
+        of rows F P_j[2:4] / D_j^1.5, as int_0^1 (2 c_2 + 6 c_3 t)^2 dt = ||F (c_2, c_3)||^2."""
+        F = np.array([[2.0, 3.0], [0.0, np.sqrt(3.0)]])
+        rows = F @ self.blocks[:, 2:] / self.widths[:, None, None] ** 1.5
+        QN = _gram(np.repeat(np.arange(self.segments), 2), rows.reshape(-1, 4), self.segments + 3)
         QN.setflags(write=False)
         return QN
 
     @cached_property
     def noncross(self) -> np.ndarray:
-        """GP, ``noncross_matrix`` in B-spline coordinates, as each row's four
-        nonzeros (size x 4): segment j's, _BERNSTEIN times P's block, sit at
-        B-splines j ... j + 3.  Read-only, built once like ``null_space``."""
-        rows = np.arange(self.size)[:, None]
-        blocks = self.null_space[rows, rows // 4 + np.arange(4)].reshape(self.segments, 4, 4)
-        GN = (_BERNSTEIN @ blocks).reshape(self.size, 4)
+        """GP (size x 4), ``noncross_matrix`` in B-spline coordinates as each row's four
+        nonzeros: segment j's rows, _BERNSTEIN @ P_j, sit at B-splines j ... j + 3."""
+        GN = (_BERNSTEIN @ self.blocks).reshape(self.size, 4)
         GN.setflags(write=False)
         return GN
+
+
+def _gram(first, values, r: int) -> np.ndarray:
+    """The r x r sum of a a' over rows a that hold ``values`` at columns first
+    ... first + 3 and are zero elsewhere; summed per diagonal, in O(rows) scratch."""
+    gram = np.zeros((r, r))
+    for d in range(4):
+        diagonal = sum(np.bincount(first + k, values[:, k] * values[:, k + d], minlength=r - d)
+                       for k in range(4 - d))
+        i = np.arange(r - d)
+        gram[i, i + d] = gram[i + d, i] = diagonal
+    return gram
 
 
 def _bspline_rows(basis: SplineBasis, seg: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Shared fixtures: the heavyweight simulation runs used by several tests,
-and the dense form of stage 2's four-value rows.
+and the dense forms of stage 2's four-value rows and of the basis's blocks.
 
 The session-scoped fixtures below are lazy; they only execute when a test
 that requests them is selected, so ``-m "not slow"`` keeps the suite fast.
@@ -39,6 +39,12 @@ def bspline_rows(x, basis):
     x = np.asarray(x, dtype=float)
     seg = basis.segment_index(x)
     return dense_rows(seg, _bspline_rows(basis, seg, x - basis.knots[seg]), basis.segments + 3)
+
+
+def dense_map(basis):
+    """The map P (size x segments + 3) from B-spline coefficients to segment-local
+    powers: segment j's four rows hold the block P_j at B-splines j ... j + 3."""
+    return dense_rows(np.arange(basis.size) // 4, basis.blocks.reshape(-1, 4), basis.segments + 3)
 
 
 def rows_by_lambda(rows, method):
@@ -92,12 +98,13 @@ def size_sweep():
 @pytest.fixture
 def grid_builds(monkeypatch):
     """Every basis whose grid-only matrices were built, one entry per build,
-    under the name of each ``SplineBasis`` cached property: the B-spline map
-    ``null_space``, the ``penalty`` P'QP and the ``noncross`` rows GP."""
+    under the name of each ``SplineBasis`` cached property: the 4 x 4
+    ``blocks`` of the B-spline map P, the ``penalty`` P'QP and the
+    ``noncross`` rows GP."""
     from modalband.spline import SplineBasis
 
     calls = {}
-    for name in ("null_space", "penalty", "noncross"):
+    for name in ("blocks", "penalty", "noncross"):
         calls[name] = []
         build = SplineBasis.__dict__[name].func
 

@@ -478,7 +478,7 @@ sys.exit(main(sys.argv[1:]))
 
 @pytest.mark.parametrize("command", ["fit", "cv"])
 def test_a_grid_too_large_for_memory_is_refused_before_stage_one(xy_csv, tmp_path, command):
-    # 30 000 segments need a 26.8 GiB B-spline map: one error line, no file,
+    # 30 000 segments need a 6.7 GiB penalty matrix: one error line, no file,
     # and no stage 1 (which exits 3), under a 4 GB address-space limit
     pytest.importorskip("resource")
     src = os.path.dirname(os.path.dirname(modalband.__file__))
@@ -543,6 +543,20 @@ def test_a_singular_normal_matrix_is_one_error_naming_its_cause(tmp_path, capsys
     else:
         assert err == ("error: rank-deficient constraints: singular normal matrix; "
                        "18 of 20 knot segments hold no observation\n")
+
+
+def test_a_penalty_term_that_overflows_is_one_error_line(tmp_path, capsys, recwarn):
+    # 2 lam P'QP overflows to inf, and inf * 0 leaves NaN in the normal matrix,
+    # which the Cholesky factorization does not refuse
+    source, model = tmp_path / "hourly.csv", tmp_path / "m.json"
+    write_hourly_csv(source)
+    assert main(["fit", "--input", str(source), "--model", str(model), "--penalty", "1e308"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: rank-deficient constraints: singular normal matrix; the penalty term "
+                   "outweighs the data term inf to 1 (largest entries of 2 lam P'QP and A'A); "
+                   "rescaling x or lowering --penalty helps\n")
+    assert not model.exists()
+    assert not recwarn.list
 
 
 def test_running_out_of_memory_is_one_error_line(xy_csv, tmp_path, capsys, monkeypatch):
@@ -875,6 +889,26 @@ def test_cv_writes_score_table(xy_csv, tmp_path, capsys):
     assert f"selected lambda {selected:.9g}".rstrip("0") in capsys.readouterr().out
     assert scores.index(min(scores)) == [r[2] for r in rows].index("1")
     assert no_temp_leftovers(tmp_path)
+
+
+def test_cv_excludes_a_penalty_term_that_overflows(tmp_path, capsys, recwarn):
+    source, out = tmp_path / "hourly.csv", tmp_path / "cv.csv"
+    write_hourly_csv(source)
+    code = main(["cv", "--input", str(source), "--output", str(out), "--seed", "1",
+                 "--lambdas", "0.1,1e308"])
+    assert code == 0
+    assert read_table(out)[1][1][1:] == ["", "0"]  # no score, not selected
+    # the library's warnings only: one per fold at 1e308, then its exclusion,
+    # and at 0.1 the known crossing of an unconverged fold fit
+    messages = [str(w.message) for w in recwarn.list]
+    failed = [m for m in messages if m.startswith("fold ")]
+    assert len(failed) == 5 and all(
+        re.fullmatch(r"fold \d fit at penalty 1e\+308 failed: rank-deficient constraints: "
+                     r"singular normal matrix; the penalty term outweighs the data term inf "
+                     r"to 1 .*", m) for m in failed), failed
+    assert "penalty 1e+308 excluded: one or more folds failed" in messages
+    assert all(m in failed or "excluded" in m or m.startswith("non-crossing violated by ")
+               for m in messages), messages
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -204,8 +204,8 @@ def test_cv_builds_the_continuity_null_space_once(grid_builds, monkeypatch):
     result = select_lambda_cv(data, [1e-4, 1e-3, 1e-2, 1e-1, 1.0], folds=5, seed=4, iters=50)
     assert result.fold_scores.shape == (5, 5)
     assert np.all(np.isfinite(result.fold_scores))
-    (basis,) = grid_builds["null_space"]
-    assert grid_builds == {"null_space": [basis], "penalty": [basis], "noncross": [basis]}
+    (basis,) = grid_builds["blocks"]
+    assert grid_builds == {"blocks": [basis], "penalty": [basis], "noncross": [basis]}
 
 
 def test_cv_excludes_penalty_with_failed_fold(monkeypatch):

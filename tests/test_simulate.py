@@ -176,8 +176,8 @@ def test_config_validation():
 def test_replications_build_the_continuity_null_space_once(grid_builds):
     results = run_replications(tiny_config(replications=3, iterations=50))
     assert len(results) == 6  # three replications, band and comparator arms
-    (basis,) = grid_builds["null_space"]
-    assert grid_builds == {"null_space": [basis], "penalty": [basis], "noncross": [basis]}
+    (basis,) = grid_builds["blocks"]
+    assert grid_builds == {"blocks": [basis], "penalty": [basis], "noncross": [basis]}
 
 
 def test_replications_deterministic_up_to_timing():

@@ -16,7 +16,6 @@ from modalband.pipeline import fit_band, run_step1, run_step2
 from modalband.simulate import gen_dist1
 from modalband.solver import (
     _choose_span,
-    _gram,
     admm_fit,
     assemble,
     objective,
@@ -25,6 +24,7 @@ from modalband.solver import (
 )
 from modalband.spline import (
     SplineBasis,
+    _gram,
     continuity_matrix,
     design_matrix,
     eval_spline,
@@ -49,14 +49,14 @@ def test_assemble_block_shapes():
     assert problem.values.shape == (3, 4)
     assert basis.penalty.shape == (5, 5)
     assert basis.noncross.shape == (8, 4)
-    assert basis.null_space.shape == (8, 5)
+    assert basis.blocks.shape == (2, 4, 4)
     # the grid-only blocks live on the basis, not on each program, and no
     # row is stored densely
     for name in ("A", "N", "AN", "QN", "GN"):
         assert not hasattr(problem, name)
     AN = conftest.dense_rows(problem.first, problem.values, 5)
     assert np.array_equal(AN, conftest.bspline_rows(data.x, basis))
-    assert np.allclose(AN, design_matrix(data.x, basis) @ basis.null_space,
+    assert np.allclose(AN, design_matrix(data.x, basis) @ conftest.dense_map(basis),
                        rtol=0.0, atol=1e-14)
     assert problem.n == 3
     assert np.array_equal(problem.first, basis.segment_index(data.x))
@@ -72,13 +72,14 @@ def test_assemble_blocks_match_single_curve_matrices():
     for segments in (1, 2, 7, 20):
         basis = SplineBasis.uniform(0.0, 3.0, segments)
         problem = assemble(data, levels, np.ones(6), basis, 1e-2)
-        P = basis.null_space
+        P = conftest.dense_map(basis)
         dim = 4 * segments - 3 * (segments - 1)
         assert P.shape == (basis.size, dim) == (basis.size, segments + 3)
         AN = conftest.dense_rows(problem.first, problem.values, segments + 3)
         assert np.allclose(AN, design_matrix(data.x, basis) @ P, rtol=0.0, atol=1e-14)
         assert problem.basis is basis
-        assert np.array_equal(basis.penalty, P.T @ penalty_matrix(basis) @ P)
+        dense = P.T @ penalty_matrix(basis) @ P
+        assert np.max(np.abs(basis.penalty - dense)) <= 1e-13 * np.max(np.abs(dense))
         GN = conftest.dense_rows(np.arange(basis.size) // 4, basis.noncross, segments + 3)
         assert np.array_equal(GN, noncross_matrix(basis) @ P)
         assert np.max(np.abs(continuity_matrix(basis) @ P), initial=0.0) <= 1e-12
@@ -89,8 +90,9 @@ def test_assemble_design_evaluates_both_curves():
     rng = np.random.default_rng(3)
     # continuous coefficients P theta, the only ones the program represents
     theta_up = rng.normal(size=5)
-    upper = basis.null_space @ theta_up
-    lower = basis.null_space @ rng.normal(size=5)
+    P = conftest.dense_map(basis)
+    upper = P @ theta_up
+    lower = P @ rng.normal(size=5)
     A = design_matrix(data.x, basis)
     assert np.allclose(A @ upper, eval_spline(upper, basis, data.x), atol=1e-14)
     assert np.allclose(A @ lower, eval_spline(lower, basis, data.x), atol=1e-14)
@@ -195,8 +197,10 @@ def test_objective_refuses_discontinuous_coefficients():
     jump[4] = 1.0  # constant term of the second segment of the upper curve
     with pytest.raises(ValueError, match="not continuous"):
         objective(problem, jump)
-    continuous = np.concatenate([basis.null_space[:, 0], basis.null_space[:, 1]])
+    P = conftest.dense_map(basis)
+    continuous = np.concatenate([P[:, 0], P[:, 1]])
     assert np.isfinite(objective(problem, continuous))
+
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +398,17 @@ def test_a_covariate_that_leaves_most_segments_empty_is_refused_and_says_so():
     assert np.all(np.isfinite(band.upper)) and np.all(np.isfinite(band.lower))
 
 
+def test_a_penalty_term_that_overflows_is_refused_without_a_numpy_warning():
+    # 2 lam P'QP is inf, and inf * 0 leaves NaN in the normal matrix
+    problem = band_problem(hourly(2), lam=1e308)
+    message = (r"^rank-deficient constraints: singular normal matrix; the penalty term "
+               r"outweighs the data term inf to 1 ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            admm_fit(problem, iters=5)
+
+
 def test_an_observation_left_out_by_the_subsample_is_added_back():
     # x = 769.70 of this draw is neither in the seeded 1000-point subsample
     # nor within the kernel's nonzero reach of any point of it
@@ -498,7 +513,7 @@ def kkt_admm_reference(problem, x, iters):
         u1 = u1 + Ac - z1
         u2 = u2 + Gc - z2
     primal = np.hypot(np.linalg.norm(Ac - z1), np.linalg.norm(Gc - z2))
-    N = block_diag(basis.null_space, basis.null_space)
+    N = block_diag(conftest.dense_map(basis), conftest.dense_map(basis))
     g = N.T @ (A.T @ (z1 - z1_prev) + G.T @ (z2 - z2_prev))
     dual = np.linalg.norm(N @ np.linalg.solve(N.T @ N, g))
     return c, primal, dual
@@ -532,8 +547,11 @@ def test_null_space_admm_matches_kkt_form():
 def dense_admm_reference(problem, iters=1000):
     """Stage 2's ADMM loop on one dense (2, n + m) layout over E = [AN; GN],
     before the rows were grouped by knot segments, with the normal matrix
-    summed by the solver's ``_gram``; returns both curves' coefficients and
-    the last iterate's primal residual norm."""
+    summed by the solver's ``_gram``; returns both curves' coefficients,
+    the last iterate's primal residual norm and its dual one, the
+    B-spline-coordinate residual g = E'(z - z_prev) taken to coefficients
+    and projected onto the continuous splines, P (P'P)^-1 g, on the dense
+    map P."""
     basis = problem.basis
     r = basis.segments + 3
     noncross_first = np.arange(basis.size) // 4
@@ -563,7 +581,7 @@ def dense_admm_reference(problem, iters=1000):
     g_up, g_low, q_up, q_low = v[0, n:], v[1, n:], W[0, n:], W[1, n:]
     for it in range(1, iters + 1):
         if it == iters:
-            C_prev = C.copy()
+            W_prev, C_prev = W.copy(), C.copy()
         np.dot(W, E, out=B)
         np.dot(M_inv, rhs, out=theta)
         np.dot(T, Et, out=v)
@@ -575,8 +593,15 @@ def dense_admm_reference(problem, iters=1000):
         np.subtract(C, v, out=W)
         W += C
         np.negative(q_up, out=q_low)
-    P = problem.basis.null_space
-    return P @ theta[:r], P @ theta[r:], np.linalg.norm(C_prev - C)
+    # to local powers segment by segment, as the solver maps them, so that
+    # only the loops are compared
+    window = np.arange(basis.segments)[:, None] + np.arange(4)
+    upper, lower = (basis.blocks @ T[:, window, None]).reshape(2, basis.size)
+    dz = (W - C) - (W_prev - C_prev)
+    dz[1, n:] = -dz[0, n:]
+    P = conftest.dense_map(basis)
+    dual = np.linalg.norm(P @ np.linalg.solve(P.T @ P, (dz @ E).T))
+    return upper, lower, np.linalg.norm(C_prev - C), dual
 
 
 def uniform_covariate(n, seed=0):
@@ -617,7 +642,7 @@ def test_rows_grouped_by_segments_match_the_dense_loop(monkeypatch, name):
         return admm_fit(problem, iters)
 
     # one group holds today's arrays, so it gives today's numbers to the bit
-    upper, lower, primal = dense_admm_reference(problem, iters)
+    upper, lower, primal, _ = dense_admm_reference(problem, iters)
     one = fit(segments)
     assert np.array_equal(one.upper, upper) and np.array_equal(one.lower, lower)
     assert one.primal_residual == primal
@@ -628,6 +653,16 @@ def test_rows_grouped_by_segments_match_the_dense_loop(monkeypatch, name):
         for got, want in ((band.upper, one.upper), (band.lower, one.lower)):
             assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)), span
         assert band.primal_residual == pytest.approx(one.primal_residual, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["uniform-n3000", "hourly-x2", "hourly-480-segments"])
+def test_dual_residual_closed_form_matches_the_dense_projection(monkeypatch, name):
+    # sqrt(g' (P'P)^-1 g) with P'P the Gram of the blocks' rows, against
+    # ||P (P'P)^-1 g|| on the dense map, after the same loop to the bit
+    problem, iters = GROUPED_INPUTS[name]()
+    monkeypatch.setattr(solver, "_choose_span", lambda counts: problem.basis.segments)
+    dual = dense_admm_reference(problem, iters)[3]
+    assert admm_fit(problem, iters).dual_residual == pytest.approx(dual, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("x, one_group", [
@@ -650,9 +685,7 @@ def test_band_and_dual_residual_do_not_depend_on_the_bspline_coordinates():
     four = np.arange(4)
 
     class Rescaled(SplineBasis):  # coordinates theta / d
-        null_space = basis.null_space * d
-        penalty = d[:, None] * basis.penalty * d
-        noncross = basis.noncross * d[np.arange(basis.size)[:, None] // 4 + four]
+        blocks = basis.blocks * d[np.arange(basis.segments)[:, None, None] + four]
 
     band = admm_fit(problem)
     values = problem.values * d[problem.first[:, None] + four]
@@ -660,6 +693,35 @@ def test_band_and_dual_residual_do_not_depend_on_the_bspline_coordinates():
     for got, want in ((other.upper, band.upper), (other.lower, band.lower)):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     assert other.dual_residual == pytest.approx(band.dual_residual, rel=1e-9, abs=0.0)
+
+
+def objective_by_least_squares(problem, c):
+    """The objective at theta solving P theta = c in least squares on the dense map."""
+    C = np.asarray(c, dtype=float).reshape(2, -1)
+    T = np.linalg.lstsq(conftest.dense_map(problem.basis), C.T, rcond=None)[0].T
+    AN = conftest.dense_rows(problem.first, problem.values, problem.basis.segments + 3)
+    r = problem.y - (T @ AN.T).ravel()
+    penalty = np.sum(T @ problem.basis.penalty * T)
+    return float(problem.w @ quantile_loss(r, problem.p) + problem.lam * penalty)
+
+
+@pytest.mark.filterwarnings("ignore:non-crossing violated")  # 100 iterations leave a crossing
+@pytest.mark.parametrize("data", [uniform_covariate(1000), hourly(2), skewed_covariate(500)],
+                         ids=["uniform-n1000", "hourly-x2", "lognormal-x-n500"])
+def test_objective_reads_theta_off_the_blocks(data):
+    problem = band_problem(data)
+    P = conftest.dense_map(problem.basis)
+    band = admm_fit(problem, iters=100)
+    rng = np.random.default_rng(5)
+    for c in (np.concatenate([band.upper, band.lower]),
+              (P @ rng.normal(size=(P.shape[1], 2))).T.ravel()):
+        want = objective_by_least_squares(problem, c)
+        assert objective(problem, c) == pytest.approx(want, rel=1e-12, abs=0.0)
+    # a jump in the value at each interior knot leaves no theta
+    jump = np.concatenate([band.upper, band.lower])
+    jump[4::4] += 1e-3
+    with pytest.raises(ValueError, match="not continuous"):
+        objective(problem, jump)
 
 
 def test_stage_2_memory_stays_below_a_copy_of_the_dense_design():
@@ -683,7 +745,7 @@ def test_banded_gram_matches_the_dense_products(segments):
     data = uniform_covariate(1000)
     basis = SplineBasis.uniform(0.0, 10.0, segments)
     problem = band_problem(data, basis)
-    P = basis.null_space
+    P = conftest.dense_map(basis)
     A = design_matrix(data.x, basis) @ P
     G = noncross_matrix(basis) @ P
     for got, want in ((_gram(problem.first, problem.values, segments + 3), A.T @ A),
