@@ -18,7 +18,7 @@ import numpy as np
 
 from .kde import Dataset
 from .model_select import select_lambda_cv
-from .pipeline import fit_band, load_model, read_csv, save_model, write_csv
+from .pipeline import _uniform_basis, fit_band, load_model, read_csv, save_model, write_csv
 from .rhythm import DEFAULT_WINDOW, detect_rhythms
 from .simulate import (
     DEFAULT_LAMBDA_GRID,
@@ -62,9 +62,7 @@ def _parse_lambdas(raw: str):
 
 def _basis(args, data: Dataset) -> SplineBasis | None:
     """``--segments`` uniform knot intervals over x's range, or None for the library's grid."""
-    if args.segments is None:
-        return None
-    return SplineBasis.uniform(float(data.x.min()), float(data.x.max()), args.segments)
+    return None if args.segments is None else _uniform_basis(data.x, args.segments)
 
 
 def _write_band_csv(path: str, band, lo: float, hi: float, points: int) -> None:

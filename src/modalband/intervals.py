@@ -249,21 +249,13 @@ class _Block:
         return view
 
 
-def _shortest_rows(values, cum, pw, alpha):
-    """The pair (i, j) of :func:`_shortest_indices` for every row of cum/pw.
+def _shortest_in_block(values, b: _Block, alpha):
+    """The pair (i, j) of :func:`_shortest_indices` for every row of cum, the
+    inside of ``b.edged``, and ``b.pw``.
 
     Rows are distributions on the same support ``values``; j is
     ``values.size`` in a row where no interval reaches alpha.
     """
-    rows, m = pw.shape
-    block = _Block(rows, 0, m).view(rows, 0, m)
-    block.edged[:, 1:-1] = cum
-    block.pw[...] = pw
-    return _shortest_in_block(values, block, alpha)
-
-
-def _shortest_in_block(values, b: _Block, alpha):
-    """:func:`_shortest_rows` on the rows of ``b.edged`` and ``b.pw``."""
     rows, m = b.pw.shape
     cum = b.edged[:, 1:-1]
     np.subtract(cum, b.pw, out=b.below)  # mass left of each candidate low end

@@ -63,7 +63,7 @@ def run_step1(data: Dataset, alpha: float = 0.5, *, rng=0) -> Step1Result:
     Parameters
     ----------
     data : Dataset
-        Observed sample.
+        Observed sample, refused when every response is the same.
     alpha : float
         Target coverage of the conditional shortest interval.
     rng : int, sequence of ints, or numpy Generator
@@ -72,6 +72,8 @@ def run_step1(data: Dataset, alpha: float = 0.5, *, rng=0) -> Step1Result:
     """
     _check_alpha(alpha)
     _check_seed(rng)
+    if data.y.min() == data.y.max():  # every level would be flat, and the band arbitrary
+        raise ValueError(f"degenerate sample: every response equals {data.y[0]}")
     h = select_bandwidth(data.x)
     levels = estimate_levels_all(data, alpha, h, rng=rng)
     weights = density_weights(data, h)
@@ -91,12 +93,19 @@ def run_step2(
     return admm_fit(problem, iters=iters)
 
 
+def _uniform_basis(x: np.ndarray, segments: int = 20) -> SplineBasis:
+    """``segments`` uniform C^2 cubic segments over x's range, refused when x takes one value."""
+    if x.min() == x.max():
+        raise ValueError("degenerate sample: all covariate values are identical")
+    return SplineBasis.uniform(float(x.min()), float(x.max()), segments)
+
+
 def _basis_for(data: Dataset, basis: SplineBasis | None) -> SplineBasis:
     """``basis``, refused unless it covers x, or by default 20 uniform C^2
     cubic segments over x's range; with its stage-2 penalty and non-crossing
     rows built, so a grid too large for memory fails before stage 1."""
     if basis is None:
-        basis = SplineBasis.uniform(float(data.x.min()), float(data.x.max()))
+        basis = _uniform_basis(data.x)
     else:
         basis.segment_index(data.x)  # raises for x outside the knots
     basis.penalty, basis.noncross  # built once, shared by every fit on the grid

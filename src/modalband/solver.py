@@ -13,13 +13,14 @@ the map of the basis's 4 x 4 ``blocks``, so the program has 2r unknowns
 instead of 2m (46 instead of 160 for 20 segments), and row i of A P holds
 the B-splines at x_i: like each row of G P, it is stored as its first
 B-spline and four values.  The basis builds P'Q P and G P once per knot grid;
-:func:`assemble` builds only the data rows, so every fit on a grid shares the rest.
-Splitting with z1 = A P theta and z2 = G P theta gives ADMM updates, at
-step size 1, in which z1 is a componentwise quantile-loss proximal step
-and z2 a projection onto the nonnegative orthant.  The theta-update is an
-unconstrained least-squares problem whose 2r x 2r normal matrix is summed
-from those rows, then Cholesky-factored and inverted once per fit.  Both
-z-steps are one clip of a single array, so an iteration costs three small
+:func:`assemble` builds only the data rows, one per observation with its y, w
+and two levels, so every fit on a grid shares the rest.  Splitting with z1 =
+A P theta and z2 = G P theta gives ADMM updates, at step size 1, in which z1
+is a componentwise quantile-loss proximal step and z2 a projection onto the
+nonnegative orthant.  The theta-update is an unconstrained least-squares
+problem whose 2r x 2r normal matrix is summed from those rows and inverted once
+per fit by a Cholesky factor, of which the loop keeps only the columns it reads.
+Both z-steps are one clip of a single array, so an iteration costs three small
 matrix products and a handful of vector operations.  The rows are grouped
 by runs of ``span`` knot segments, touching span + 3 B-splines each, and
 each design product is one stacked product over the groups.  ``span``
@@ -60,8 +61,8 @@ class MirProblem:
     ``values`` (n x 4) its four B-splines.  The penalty P'Q P and the
     non-crossing rows G P on theta_up - theta_low depend on the knot grid
     alone and are read from ``basis.penalty`` and ``basis.noncross``.
-    ``p``, ``y`` and ``w`` stack the upper-curve rows first, then the lower.
-    ``empty_segments`` counts the knot segments that hold no observation.
+    Each observation is held once: its response ``y[i]``, its weight
+    ``w[i]`` and its two levels ``p[:, i]``, the upper curve's first.
     """
 
     first: np.ndarray
@@ -72,7 +73,6 @@ class MirProblem:
     lam: float
     basis: SplineBasis
     n: int
-    empty_segments: int
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,6 @@ def assemble(
 
     Stores each single-curve design row as its knot segment and its four
     B-spline values; the penalty and non-crossing blocks stay on the basis.
-    Level order matches the stacking: upper-curve levels first, then lower.
     """
     weights = np.asarray(weights, dtype=float)
     n = len(data)
@@ -148,13 +147,12 @@ def assemble(
     return MirProblem(
         first=seg,
         values=_bspline_rows(basis, seg, data.x - basis.knots[seg]),
-        p=np.concatenate([levels.p_up, levels.p_low]),
-        y=np.concatenate([data.y, data.y]),
-        w=np.concatenate([weights, weights]),
+        p=np.stack([levels.p_up, levels.p_low]),
+        y=data.y,
+        w=weights,
         lam=float(lam),
         basis=basis,
         n=n,
-        empty_segments=int(np.count_nonzero(np.bincount(seg, minlength=basis.segments) == 0)),
     )
 
 
@@ -188,9 +186,9 @@ def objective(problem: MirProblem, c) -> float:
     window = np.arange(len(blocks))[:, None] + np.arange(4)
     if np.linalg.norm(C - blocks @ T[:, window, None]) > 1e-9 * (1.0 + np.linalg.norm(C)):
         raise ValueError("coefficients are not continuous to the basis's smoothness order")
-    r = problem.y - np.sum(T[:, problem.first[:, None] + np.arange(4)] * problem.values, 2).ravel()
+    r = problem.y - np.sum(T[:, problem.first[:, None] + np.arange(4)] * problem.values, 2)
     penalty = np.sum(T @ problem.basis.penalty * T)
-    return float(problem.w @ quantile_loss(r, problem.p) + problem.lam * penalty)
+    return float(np.sum(problem.w * quantile_loss(r, problem.p)) + problem.lam * penalty)
 
 
 _NONCROSS_GRID = 1001
@@ -201,9 +199,9 @@ def _rank_deficient(problem: MirProblem, reason: str, data) -> ValueError:
     knot segments that hold no observation, or else a penalty term 2 lam P'QP
     that outweighs the data term A'A (it grows as x's unit shrinks, cubed)."""
     ratio = 2.0 * problem.lam * float(np.abs(problem.basis.penalty).max()) / np.abs(data).max()
-    if problem.empty_segments or not ratio > 1.0:
-        cause = (f"{problem.empty_segments} of {problem.basis.segments} knot segments "
-                 "hold no observation")
+    empty = np.count_nonzero(np.bincount(problem.first, minlength=problem.basis.segments) == 0)
+    if empty or not ratio > 1.0:
+        cause = f"{empty} of {problem.basis.segments} knot segments hold no observation"
     else:
         cause = (f"the penalty term outweighs the data term {ratio:.3g} to 1 (largest "
                  "entries of 2 lam P'QP and A'A); rescaling x or lowering --penalty helps")
@@ -248,9 +246,9 @@ def _grouped_rows(problem: MirProblem, span: int):
     their order, zero-padded to the largest group, then a tail of those
     segments' 4 span non-crossing rows; every row in it is zero outside
     the span + 3 B-splines k span ... k span + span + 2.  Returns the design
-    D, (groups, span + 3, slots), one row per slot stored as a column, and
-    y, lo and hi, (groups, 2, slots).  A padding slot has a zero design and
-    y = lo = hi = 0.  Each row's four values fill its slot; one group's D[0] is [A P; G P]'.
+    D, (groups, span + 3, slots), each row's four values in its slot's column,
+    and y, lo and hi, (groups, 2, slots), an observation's y, -(1 - p) w and
+    p w on both curves; a padding slot is all zero.  One group's D[0] is [A P; G P]'.
     """
     n, segments = problem.n, problem.basis.segments
     groups = -(-segments // span)
@@ -263,9 +261,9 @@ def _grouped_rows(problem: MirProblem, span: int):
     slot[np.argsort(group, kind="stable")] = np.arange(n) - np.repeat(starts, counts)
 
     y, lo, hi = (np.zeros((groups, 2, slots)) for _ in range(3))
-    y[group, :, slot] = problem.y.reshape(2, n).T  # stacked curve by curve
-    lo[group, :, slot] = -((1.0 - problem.p) * problem.w).reshape(2, n).T
-    hi[group, :, slot] = (problem.p * problem.w).reshape(2, n).T
+    y[group, :, slot] = problem.y[:, None]
+    lo[group, :, slot] = -((1.0 - problem.p) * problem.w).T
+    hi[group, :, slot] = (problem.p * problem.w).T
     hi[:, 0, tail:] = np.inf
 
     four = np.arange(4)
@@ -317,8 +315,10 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     pivots = np.diag(L) ** 2
     if not pivots.min() > pivots.max() * 1e-13:  # True for NaN
         raise _rank_deficient(problem, "singular normal matrix", data)
+    del M, data
     L_inv = np.linalg.inv(L)
     M_inv = L_inv.T @ L_inv
+    del L, L_inv
 
     # Each curve's split rows are grouped by runs of `span` knot segments
     # (see _grouped_rows): a group's slots on both curves are one (2, slots)
@@ -339,12 +339,12 @@ def admm_fit(problem: MirProblem, iters: int = 1000) -> FittedBand:
     M_pad[:, :r, :, :r] = M_inv.reshape(2, r, 2, r)
     cols = (np.arange(groups)[:, None, None] * span + np.arange(2)[:, None] * width
             + np.arange(span + 3)).ravel()  # entry (k, c, j) of the products
-    M_cols = np.ascontiguousarray(M_pad.reshape(2 * width, 2 * width)[:, cols])
+    M_cols = np.take(M_pad.reshape(2 * width, 2 * width), cols, axis=1)
+    del M_inv, M_pad  # the loop reads M_cols alone
     B = np.empty((groups, 2, span + 3))
     T = np.zeros((2, width))
-    step, row = T.strides[1], T.strides[0]
-    windows = np.lib.stride_tricks.as_strided(
-        T, (groups, 2, span + 3), (span * step, row, step), writeable=False)
+    windows = np.lib.stride_tricks.sliding_window_view(T, span + 3, axis=1)[:, ::span]
+    windows = windows.swapaxes(0, 1)  # (groups, 2, span + 3), read-only
     theta, rhs = T.reshape(-1), B.reshape(-1)
     product = np.matmul
     if groups == 1:  # np.dot on the one 2-D block costs less per call than matmul on a stack

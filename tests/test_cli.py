@@ -308,6 +308,46 @@ def test_fit_and_cv_refuse_an_unfittable_basis_before_the_bandwidth(
     assert not list(tmp_path.iterdir())
 
 
+DEGENERATE = {  # 200 rows, one column constant, and the refusal's text
+    "constant-y": (lambda u: Dataset(u, np.full(u.size, 3.0)),
+                   "degenerate sample: every response equals 3.0"),
+    "constant-x": (lambda u: Dataset(np.full(u.size, 5.0), u),
+                   "degenerate sample: all covariate values are identical"),
+}
+
+
+def degenerate_sample(name):
+    make, message = DEGENERATE[name]
+    return make(np.random.default_rng(0).uniform(0.0, 10.0, 200)), message
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_fit_band_refuses_a_degenerate_sample(monkeypatch, name):
+    refuse_bandwidth(monkeypatch)
+    data, message = degenerate_sample(name)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit_band(data)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--model", "{out}"],
+    ["fit", "--model", "{out}", "--segments", "5"],
+    ["cv", "--output", "{out}", "--seed", "1"],
+], ids=["fit", "fit-segments", "cv"])
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_a_degenerate_sample_is_refused_with_one_line_before_the_bandwidth(
+    tmp_path, capsys, recwarn, monkeypatch, name, argv
+):
+    refuse_bandwidth(monkeypatch)
+    data, message = degenerate_sample(name)
+    path, out = tmp_path / "xy.csv", tmp_path / "out"
+    write_xy_csv(path, data)
+    assert main([argv[0], "--input", str(path), *(a.format(out=out) for a in argv[1:])]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not recwarn.list  # no fold was fitted
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("outputs", [
     ["--model", "{missing}/m.json"],
     ["--model", "{tmp}/m.json", "--band", "{missing}/b.csv"],

@@ -15,9 +15,10 @@ from modalband.intervals import (
     _MIN_EXPONENT,
     ModalInterval,
     QuantileLevelSet,
+    _Block,
     _capped_source,
+    _shortest_in_block,
     _shortest_indices,
-    _shortest_rows,
     _windows,
     estimate_intervals_at,
     estimate_levels_all,
@@ -521,7 +522,10 @@ def test_row_search_matches_sweep_at_rounding_edges():
         cum = np.cumsum(pw, axis=1)
         values = np.cumsum(rng.uniform(0.5, 1.5, m))
         alpha = float(rng.integers(1, 10)) / 10
-        i, j = _shortest_rows(values, cum, pw, alpha)
+        block = _Block(4, 0, m).view(4, 0, m)
+        block.edged[:, 1:-1] = cum
+        block.pw[...] = pw
+        i, j = _shortest_in_block(values, block, alpha)
         for r in range(4):
             try:
                 expected = _shortest_indices(values, cum[r], pw[r], alpha)

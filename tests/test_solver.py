@@ -52,7 +52,7 @@ def test_assemble_block_shapes():
     assert basis.blocks.shape == (2, 4, 4)
     # the grid-only blocks live on the basis, not on each program, and no
     # row is stored densely
-    for name in ("A", "N", "AN", "QN", "GN"):
+    for name in ("A", "N", "AN", "QN", "GN", "empty_segments"):
         assert not hasattr(problem, name)
     AN = conftest.dense_rows(problem.first, problem.values, 5)
     assert np.array_equal(AN, conftest.bspline_rows(data.x, basis))
@@ -60,9 +60,10 @@ def test_assemble_block_shapes():
                        rtol=0.0, atol=1e-14)
     assert problem.n == 3
     assert np.array_equal(problem.first, basis.segment_index(data.x))
-    assert np.array_equal(problem.p, [0.7, 0.75, 0.8, 0.2, 0.25, 0.3])
-    assert np.array_equal(problem.y, np.tile(data.y, 2))
-    assert np.array_equal(problem.w, np.ones(6))
+    # one response, weight and level pair per observation, the upper level first
+    assert np.array_equal(problem.p, [[0.7, 0.75, 0.8], [0.2, 0.25, 0.3]])
+    assert np.array_equal(problem.y, data.y)
+    assert np.array_equal(problem.w, np.ones(3))
 
 
 def test_assemble_blocks_match_single_curve_matrices():
@@ -508,7 +509,8 @@ def kkt_admm_reference(problem, x, iters):
         c = lu_solve(lu, rhs)[:m2]
         Ac, Gc = A @ c, G @ c
         z1_prev, z2_prev = z1, z2
-        z1 = prox_quantile_loss(Ac + u1, problem.p, problem.y, problem.w, 1.0)
+        z1 = prox_quantile_loss(Ac + u1, problem.p.ravel(), np.tile(problem.y, 2),
+                                np.tile(problem.w, 2), 1.0)
         z2 = np.maximum(Gc + u2, 0.0)
         u1 = u1 + Ac - z1
         u2 = u2 + Gc - z2
@@ -568,9 +570,9 @@ def dense_admm_reference(problem, iters=1000):
     y = np.zeros((2, n + m))
     lo = np.zeros((2, n + m))
     hi = np.zeros((2, n + m))
-    y[:, :n] = problem.y.reshape(2, n)
-    lo[:, :n] = -((1.0 - problem.p) * problem.w).reshape(2, n)
-    hi[:, :n] = (problem.p * problem.w).reshape(2, n)
+    y[:, :n] = problem.y
+    lo[:, :n] = -((1.0 - problem.p) * problem.w)
+    hi[:, :n] = problem.p * problem.w
     hi[0, n:] = np.inf
     W = np.zeros((2, n + m))
     C = np.zeros((2, n + m))
@@ -700,9 +702,9 @@ def objective_by_least_squares(problem, c):
     C = np.asarray(c, dtype=float).reshape(2, -1)
     T = np.linalg.lstsq(conftest.dense_map(problem.basis), C.T, rcond=None)[0].T
     AN = conftest.dense_rows(problem.first, problem.values, problem.basis.segments + 3)
-    r = problem.y - (T @ AN.T).ravel()
+    r = problem.y - T @ AN.T
     penalty = np.sum(T @ problem.basis.penalty * T)
-    return float(problem.w @ quantile_loss(r, problem.p) + problem.lam * penalty)
+    return float(np.sum(problem.w * quantile_loss(r, problem.p)) + problem.lam * penalty)
 
 
 @pytest.mark.filterwarnings("ignore:non-crossing violated")  # 100 iterations leave a crossing
@@ -738,6 +740,20 @@ def test_stage_2_memory_stays_below_a_copy_of_the_dense_design():
     finally:
         tracemalloc.stop()
     assert peak <= 32e6, peak / 1e6
+
+
+def test_stage_2_keeps_only_the_gathered_inverse_through_the_loop():
+    # on 1 000 segments each dense (2 (segments + 3))^2 array is 32 MB; with
+    # the normal matrix, its factor, both inverses and the zero-padded copy
+    # alive at once, the traced peak read 247.5 MB
+    problem = band_problem(uniform_covariate(300), SplineBasis.uniform(0.0, 10.0, 1000))
+    tracemalloc.start()
+    try:
+        admm_fit(problem, iters=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160e6, peak / 1e6
 
 
 @pytest.mark.parametrize("segments", [1, 2, 7, 20, 480])
@@ -782,3 +798,19 @@ def test_band_does_not_depend_on_the_order_of_the_observations(data, lam):
         assert other_step1.bandwidth == step1.bandwidth
         for got, want in ((other.upper, band.upper), (other.lower, band.lower)):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), seed
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: an ADMM step at step size 1 moves a loss row by at most its weight "
+    "times its level, so 1 000 steps do not reach a band of scale 100; an exact solver passes"))
+def test_band_scales_with_the_response():
+    # the loss scales with y and the penalty with y^2, so (x, 100 y) at lam / 100
+    # is the program of (x, y) at lam, scaled by 100; today the bands differ
+    # by 73% of the range (7.9% at 10 y, 4.3e-4 at 2 y)
+    data = gen_dist1(500, 1)
+    band, _ = fit_band(data, lam=1e-2)
+    scaled, _ = fit_band(Dataset(data.x, 100.0 * data.y), lam=1e-4)
+    grid = np.linspace(data.x.min(), data.x.max(), 201)
+    want = 100.0 * np.concatenate([band.lower_at(grid), band.upper_at(grid)])
+    got = np.concatenate([scaled.lower_at(grid), scaled.upper_at(grid)])
+    assert np.max(np.abs(got - want)) <= 1e-6 * np.ptp(want)
